@@ -4,17 +4,21 @@ At the end of each segment the checker's state must equal the checkpoint
 taken from the main at the same execution point.  State = all registers +
 the PC + all modified memory.  To avoid copying page contents between
 processes, Parallaft injects hasher code into both processes and compares
-XXH3-64 digests of the modified pages only; we model the same structure (and
-its cost) and also provide the full-memory strawman for the ablation.
+XXH3-64 digests of the modified pages only.  We model that structure on the
+simulated clock: ``bytes_hashed`` charges the hasher for both sides of every
+compared page.  The host computes no digests for the verdict: it compares
+frames (a COW-shared frame is equal by construction) and otherwise page
+bytes in place.  The full-memory strawman for the ablation is provided too.
 
 The comparator is itself part of the trusted computing base: a hash-path
 fault (or an engineered collision) makes two differing pages look equal and
 the corruption escapes silently.  ``redundant=True`` (config knob
-``redundant_compare``) runs a second, independent hash path over the same
-pages; a verdict disagreement between the two paths implicates the
-comparator — not the application — and is reported with reason
-``"integrity"`` so the runtime fail-stops instead of "recovering" on
-untrusted evidence.  The module also hosts the checkpoint integrity
+``redundant_compare``) models a second, independent hash path over the same
+pages (doubling ``bytes_hashed``).  Only a digest-path fault
+(:meth:`StateComparator._collide`) makes the two paths disagree; such a
+disagreement implicates the comparator — not the application — and is
+reported with reason ``"integrity"`` so the runtime fail-stops instead of
+"recovering" on untrusted evidence.  The module also hosts the checkpoint integrity
 helpers: :func:`state_digest` (whole-process digest for retained recovery
 checkpoints) and :func:`audit_clean_pages` (spot check that the dirty
 tracker did not under-report).
@@ -25,7 +29,7 @@ from __future__ import annotations
 from typing import List, Optional, Set, Tuple
 
 from repro.core.config import ComparisonStrategy
-from repro.hashing import Xxh3_64
+from repro.hashing import Xxh3_64  # state_digest only
 from repro.kernel.process import Process
 
 
@@ -222,27 +226,7 @@ class StateComparator:
                 raise ValueError("dirty_hash comparison needs dirty_vpns")
             vpns = sorted(dirty_vpns)
 
-        checker_hash = Xxh3_64()
-        checkpoint_hash = Xxh3_64()
-        bytes_hashed = 0
-        mismatched: List[int] = []
-        for vpn in vpns:
-            left = self._page_or_none(checker, vpn)
-            right = self._page_or_none(checkpoint, vpn)
-            if left is None or right is None:
-                if left is not right:
-                    mismatched.append(vpn)
-                continue
-            # Tag with the vpn so swapped page contents cannot cancel out.
-            tag = vpn.to_bytes(8, "little")
-            checker_hash.update(tag)
-            checker_hash.update(left)
-            checkpoint_hash.update(tag)
-            checkpoint_hash.update(right)
-            bytes_hashed += 2 * len(left)
-            if left != right:
-                mismatched.append(vpn)
-
+        mismatched, bytes_hashed = _diff_pages(checker, checkpoint, vpns)
         if self.redundant:
             # Second independent pass over the same pages (cost doubles).
             bytes_hashed *= 2
@@ -253,10 +237,6 @@ class StateComparator:
                                       bytes_hashed=bytes_hashed,
                                       pages_compared=len(vpns))
             return self._collide(result) if collision else result
-        if checker_hash.digest() != checkpoint_hash.digest():
-            # Unreachable unless the hash itself is broken; kept for rigor.
-            return ComparisonResult(False, "hash", bytes_hashed=bytes_hashed,
-                                    pages_compared=len(vpns))
         return ComparisonResult(True, bytes_hashed=bytes_hashed,
                                 pages_compared=len(vpns))
 
@@ -278,12 +258,6 @@ class StateComparator:
                                     pages_compared=truth.pages_compared)
         return ComparisonResult(True, bytes_hashed=truth.bytes_hashed,
                                 pages_compared=truth.pages_compared)
-
-    @staticmethod
-    def _page_or_none(proc: Process, vpn: int) -> Optional[bytes]:
-        if vpn in proc.mem.pages:
-            return proc.mem.page_bytes(vpn)
-        return None
 
 
 def state_digest(proc: Process) -> Tuple[int, int]:
@@ -337,16 +311,32 @@ def audit_clean_pages(checker: Process, checkpoint: Process,
         if checker.mem.frame_id(vpn) != checkpoint.mem.frame_id(vpn):
             suspicious.append(vpn)
     audited = suspicious[:limit] if limit else []
+    mismatched, bytes_compared = _diff_pages(checker, checkpoint, audited)
+    return audited, mismatched, bytes_compared
+
+
+def _diff_pages(checker: Process, checkpoint: Process,
+                vpns: List[int]) -> Tuple[List[int], int]:
+    """Divergent vpns among ``vpns``, and the bytes the injected hasher
+    digests over them (both sides of every page mapped on both).
+
+    The verdict needs no host digest: a page mapped on one side only
+    diverges, a frame still COW-shared by both sides is equal by
+    construction, and any other pair is byte-compared in place.
+    """
+    left_pages = checker.mem.pages
+    right_pages = checkpoint.mem.pages
     mismatched: List[int] = []
-    bytes_compared = 0
-    for vpn in audited:
-        left = StateComparator._page_or_none(checker, vpn)
-        right = StateComparator._page_or_none(checkpoint, vpn)
+    nbytes = 0
+    for vpn in vpns:
+        left = left_pages.get(vpn)
+        right = right_pages.get(vpn)
         if left is None or right is None:
             if left is not right:
                 mismatched.append(vpn)
             continue
-        bytes_compared += 2 * len(left)
-        if left != right:
+        nbytes += 2 * len(left.frame.data)
+        if left.frame is not right.frame and \
+                left.frame.data != right.frame.data:
             mismatched.append(vpn)
-    return audited, mismatched, bytes_compared
+    return mismatched, nbytes

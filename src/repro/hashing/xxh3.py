@@ -1,8 +1,12 @@
-"""XXH3-64-style wide-lane hash used by the program-state comparator.
+"""XXH3-64-style wide-lane hash for digests that are themselves artifacts.
 
-The paper's comparator uses xxHash's XXH3-64b variant for its speed on large
-inputs (paper §4.4 and footnote 13: collision probability ~3.13e-8 over their
-experiment count).  XXH3's speed comes from eight 64-bit accumulators striped
+Used for the campaign journal, the R/R-log record checksums and the
+retained-checkpoint state digests.  The paper's comparator uses xxHash's
+XXH3-64b variant for its speed on large inputs (paper §4.4 and footnote 13:
+collision probability ~3.13e-8 over their experiment count).  Our
+comparator charges that hashing on the simulated clock only; its verdict
+comes from frame identity and byte compares, not from digests computed
+here.  XXH3's speed comes from eight 64-bit accumulators striped
 across the input.  We model that structure here: a documented,
 deterministic, well-dispersing 8-lane variant whose per-lane rounds reuse the
 audited XXH64 round function.  (Bit-exact XXH3 conformance is not required by

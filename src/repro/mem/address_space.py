@@ -18,6 +18,7 @@ Dirty-page tracking supports both backends from §4.4:
 from __future__ import annotations
 
 import random
+import struct
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import MemoryError_
@@ -47,6 +48,10 @@ MMAP_BASE = 0x2000_0000
 MMAP_CEILING = 0x6000_0000
 #: ASLR entropy window, in pages.
 ASLR_WINDOW_PAGES = 4096
+
+# Little-endian 64-bit word access straight on a frame's bytearray.
+_unpack_word = struct.Struct("<q").unpack_from
+_pack_word = struct.Struct("<Q").pack_into
 
 
 class PageFault(Exception):
@@ -285,15 +290,13 @@ class AddressSpace:
         if address % 8:
             raise PageFault(address, "misaligned-read")
         pte, offset = self._pte_for_read(address)
-        return int.from_bytes(pte.frame.data[offset:offset + 8], "little",
-                              signed=True)
+        return _unpack_word(pte.frame.data, offset)[0]
 
     def store_word(self, address: int, value: int) -> None:
         if address % 8:
             raise PageFault(address, "misaligned-write")
         pte, offset = self._pte_for_write(address)
-        pte.frame.data[offset:offset + 8] = \
-            (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+        _pack_word(pte.frame.data, offset, value & 0xFFFF_FFFF_FFFF_FFFF)
 
     def load_byte(self, address: int) -> int:
         pte, offset = self._pte_for_read(address)

@@ -34,6 +34,55 @@ def spawn_pair(kernel=None):
     return kernel, proc, twin
 
 
+DATA_VPN = DATA_BASE // PAGE
+MMAP_VPN = 0x3000_0000 // PAGE
+
+
+def reference_compare(strategy, redundant, checker, checkpoint, dirty_vpns):
+    """Naive memory verdict: copy both sides of every page and compare.
+
+    Returns ``(match, reason, mismatched_vpns, bytes_hashed,
+    pages_compared)`` for states whose PC and registers agree.
+    """
+    left_mem, right_mem = checker.mem, checkpoint.mem
+    if strategy == ComparisonStrategy.FULL_MEMORY:
+        vpns = sorted(set(left_mem.pages) | set(right_mem.pages))
+    else:
+        vpns = sorted(dirty_vpns)
+    mismatched, nbytes = [], 0
+    for vpn in vpns:
+        in_left, in_right = vpn in left_mem.pages, vpn in right_mem.pages
+        if not (in_left and in_right):
+            if in_left or in_right:
+                mismatched.append(vpn)
+            continue
+        left, right = left_mem.page_bytes(vpn), right_mem.page_bytes(vpn)
+        nbytes += 2 * len(left)
+        if left != right:
+            mismatched.append(vpn)
+    if redundant:
+        nbytes *= 2
+    return (not mismatched, "memory" if mismatched else "", mismatched,
+            nbytes, len(vpns))
+
+
+_side = st.sampled_from(["proc", "twin"])
+_word_slot = st.tuples(st.integers(min_value=0, max_value=4),
+                       st.integers(min_value=0, max_value=7))
+_memory_ops = st.lists(st.one_of(
+    st.tuples(st.just("write"), _side, _word_slot,
+              st.one_of(st.integers(min_value=-2, max_value=2),
+                        st.integers(min_value=-2**63,
+                                    max_value=2**63 - 1))),
+    # Write back the fork-time value: a re-COWed but byte-equal frame.
+    st.tuples(st.just("restore"), _side, _word_slot),
+    st.tuples(st.just("mmap"), _side, st.integers(min_value=0, max_value=2)),
+), max_size=12)
+_candidate_vpns = st.sets(st.sampled_from(
+    [DATA_VPN + i for i in range(5)] + [MMAP_VPN + i for i in range(3)]
+    + [MMAP_VPN + 100]))
+
+
 class TestComparator:
     def test_identical_forks_match_full(self):
         _, proc, twin = spawn_pair()
@@ -116,8 +165,7 @@ class TestComparator:
     def test_page_mapped_on_twin_side_only_mismatches(self):
         """Asymmetry goes both ways: a page present only in the
         *checkpoint* (right side) must mismatch just like one present
-        only in the checker — ``_page_or_none`` returns None for exactly
-        one side in either order."""
+        only in the checker, whichever side lacks the PTE."""
         from repro.mem.address_space import (MAP_ANONYMOUS, MAP_FIXED,
                                              MAP_PRIVATE, PROT_READ,
                                              PROT_WRITE)
@@ -145,36 +193,6 @@ class TestComparator:
         assert not forward.match and not backward.match
         assert forward.mismatched_vpns == backward.mismatched_vpns
 
-    def test_hash_disagreement_with_equal_bytes_is_defensive_hash_reason(
-            self, monkeypatch):
-        """The ``"hash"`` branch: per-page byte compares all pass but the
-        running digests disagree.  Unreachable with a working hash;
-        reachable exactly when the digest logic itself is broken, which
-        is what a stubbed hasher simulates."""
-        import repro.core.comparator as comparator_module
-
-        class BrokenHash:
-            _instances = 0
-
-            def __init__(self):
-                BrokenHash._instances += 1
-                self._id = BrokenHash._instances
-
-            def update(self, data):
-                pass
-
-            def digest(self):
-                return self._id  # every instance disagrees with every other
-
-        monkeypatch.setattr(comparator_module, "Xxh3_64", BrokenHash)
-        _, proc, twin = spawn_pair()
-        comparator = StateComparator(ComparisonStrategy.DIRTY_HASH, PAGE)
-        result = comparator.compare(proc, twin,
-                                    dirty_vpns={DATA_BASE // PAGE})
-        assert not result.match
-        assert result.reason == "hash"
-        assert result.describe() == "hash"
-
     def test_dirty_hash_requires_vpns(self):
         _, proc, twin = spawn_pair()
         comparator = StateComparator(ComparisonStrategy.DIRTY_HASH, PAGE)
@@ -192,6 +210,44 @@ class TestComparator:
         result = comparator.compare(proc, twin,
                                     dirty_vpns={DATA_BASE // PAGE})
         assert not result.match
+
+    @pytest.mark.parametrize("redundant", [False, True])
+    @pytest.mark.parametrize("strategy", list(ComparisonStrategy))
+    @given(ops=_memory_ops, dirty_vpns=_candidate_vpns)
+    @settings(max_examples=40, deadline=None)
+    def test_verdict_and_cost_equal_naive_reference(self, strategy,
+                                                    redundant, ops,
+                                                    dirty_vpns):
+        """Frame identity plus in-place byte compare gives exactly the
+        verdict and simulated cost of copying and comparing every page."""
+        from repro.mem.address_space import (MAP_ANONYMOUS, MAP_FIXED,
+                                             MAP_PRIVATE, PROT_READ,
+                                             PROT_WRITE)
+        _, proc, twin = spawn_pair()
+        sides = {"proc": proc, "twin": twin}
+        at_fork = {vpn: proc.mem.page_bytes(vpn)
+                   for vpn in range(DATA_VPN, DATA_VPN + 5)}
+        for op in ops:
+            mem = sides[op[1]].mem
+            if op[0] == "mmap":
+                mem.mmap((MMAP_VPN + op[2]) * PAGE, PAGE,
+                         PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED)
+                continue
+            page, word = op[2]
+            if op[0] == "write":
+                value = op[3]
+            else:
+                value = int.from_bytes(
+                    at_fork[DATA_VPN + page][word * 8:word * 8 + 8],
+                    "little", signed=True)
+            mem.store_word((DATA_VPN + page) * PAGE + word * 8, value)
+
+        comparator = StateComparator(strategy, PAGE, redundant=redundant)
+        result = comparator.compare(proc, twin, dirty_vpns=dirty_vpns)
+        assert (result.match, result.reason, result.mismatched_vpns,
+                result.bytes_hashed, result.pages_compared) == \
+            reference_compare(strategy, redundant, proc, twin, dirty_vpns)
 
 
 class TestDirtyTracker:

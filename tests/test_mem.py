@@ -91,6 +91,22 @@ class TestLoadStore:
         space.store_word(DATA_BASE, -123456789)
         assert space.load_word(DATA_BASE) == -123456789
 
+    @given(st.one_of(st.sampled_from([-2**63, -2**63 + 1, -1, 0, 1,
+                                      2**63 - 1, 2**63, 2**64 - 1]),
+                     st.integers(min_value=-2**63, max_value=2**64 - 1)),
+           st.integers(min_value=0, max_value=PAGE // 8 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_word_round_trip_matches_int_bytes(self, value, word):
+        """Stores wrap to 64 bits little-endian; loads read them back
+        signed — the ``int.to_bytes``/``int.from_bytes`` semantics."""
+        _, space = make_loaded_space()
+        address = DATA_BASE + word * 8
+        raw = (value & 0xFFFF_FFFF_FFFF_FFFF).to_bytes(8, "little")
+        space.store_word(address, value)
+        assert space.read_bytes(address, 8) == raw
+        assert space.load_word(address) == \
+            int.from_bytes(raw, "little", signed=True)
+
     def test_byte_round_trip(self):
         _, space = make_loaded_space()
         space.store_byte(DATA_BASE + 3, 0xAB)
