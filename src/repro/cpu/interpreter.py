@@ -5,25 +5,39 @@ and returns a :class:`~repro.cpu.exceptions.Stop` when something the kernel
 must handle occurs: a syscall (stopped *before* execution, ptrace-style), a
 hardware breakpoint, an armed perf-counter overflow (with modelled skid), a
 ``brk`` patch site, a trapped nondeterministic instruction, a fault, or halt.
+Stopping instructions (syscall, brk, nondet, fault, halt) do **not** retire;
+the kernel retires them when it completes them, exactly like a trapping
+instruction on real hardware.
 
-The loop is deliberately flat, single-exit and local-variable-heavy: it is
-the hot path of the whole reproduction (every main *and* checker instruction
-goes through it).  Stopping instructions (syscall, brk, nondet, fault, halt)
-do **not** retire; the kernel retires them when it completes them, exactly
-like a trapping instruction on real hardware.
+Every main *and* checker instruction goes through here, along one of two
+paths with identical results:
+
+* **Blocks.**  At a block leader (see :mod:`repro.cpu.blocks`) with no
+  breakpoint armed, where the whole block fits in the budget and ends at
+  or before both counter targets, one call runs the block's compiled
+  function.  The counters then advance by the block's instruction, memory
+  op and branch counts, and a final branch that reaches the branch
+  overflow target arms delivery exactly as the single-step loop would.  A
+  fault at block index ``k`` retires exactly the ``k`` instructions before
+  it and returns the single-step loop's ``Stop``.
+* **Single step.**  Everything else — non-leader pcs (a quantum resumed
+  mid-block, a handler entry), breakpoints, the last instructions before
+  a counter target or the budget, stopping instructions — runs one
+  instruction per iteration of a flat, local-variable-heavy loop.
 """
 
 from __future__ import annotations
 
-import struct
-
 from repro.common.errors import FramePoolExhausted
+from repro.cpu.blocks import fcvtzs, pack_double, partition, unpack_double
 from repro.cpu.exceptions import Fault, FaultKind, Stop, StopReason
+from repro.isa.instructions import FDIV, MEMORY_OPCODES
 from repro.mem.address_space import PageFault
 
 _TWO63 = 1 << 63
 _TWO64 = 1 << 64
 _HUGE = 1 << 62
+_BLOCK_FAULTS = (PageFault, FramePoolExhausted, ZeroDivisionError)
 
 
 def run(proc, budget: int) -> Stop:
@@ -57,10 +71,49 @@ def run(proc, budget: int) -> Stop:
     cpu.bp_skip_pc = None
     trap_nondet = cpu.trap_nondet
 
+    blocks = None if bps else mem.blocks
+    if blocks is not None:
+        if not blocks:
+            blocks.update(partition(code, code_base, pc))
+        ld, st, lb, sb = (mem.load_word, mem.store_word, mem.load_byte,
+                          mem.store_byte)
+        rd, wr = mem.read_bytes, mem.write_bytes
+
     executed = 0
     stop = None
 
     while executed < budget:
+        if blocks is not None:
+            block = blocks.get(pc)
+            if block is not None:
+                n = block.n
+                end = ir + overcount + n
+                if executed + n <= budget and end <= deliver_at \
+                        and end <= instr_ovf_at:
+                    try:
+                        pc = (block.fn or block.compile(code, code_base))(
+                            regs, fregs, vregs, ld, st, lb, sb, rd, wr)
+                    except _BLOCK_FAULTS as exc:
+                        k = block.fault_index(exc)
+                        first = block.start
+                        mc += sum(instr.op in MEMORY_OPCODES
+                                  for instr in code[first:first + k])
+                        pc += 4 * k
+                        ir += k
+                        executed += k
+                        stop = _block_fault_stop(exc, executed, pc,
+                                                 code[first + k].op)
+                        break
+                    ir += n
+                    executed += n
+                    mc += block.mem_ops
+                    if block.branch:
+                        bc += 1
+                        if bc >= branch_target:
+                            branch_target = _HUGE
+                            deliver_at = ir + overcount + proc.skid_draw()
+                    continue
+
         counted = ir + overcount
         if counted >= deliver_at:
             deliver_at = _HUGE
@@ -219,12 +272,12 @@ def run(proc, budget: int) -> Stop:
                     fregs[instr.a] = fregs[instr.b] / divisor
                 elif op == 43:  # FLD
                     address = regs[instr.b] + instr.imm
-                    fregs[instr.a] = struct.unpack(
-                        "<d", mem.read_bytes(address, 8))[0]
+                    fregs[instr.a] = unpack_double(
+                        mem.read_bytes(address, 8))[0]
                     mc += 1
                 elif op == 44:  # FST
                     address = regs[instr.b] + instr.imm
-                    mem.write_bytes(address, struct.pack("<d", fregs[instr.a]))
+                    mem.write_bytes(address, pack_double(fregs[instr.a]))
                     mc += 1
                 elif op == 45:  # FLI
                     fregs[instr.a] = float(instr.imm)
@@ -233,8 +286,7 @@ def run(proc, budget: int) -> Stop:
                 elif op == 47:  # FCVT (int -> float)
                     fregs[instr.a] = float(regs[instr.b])
                 elif op == 48:  # ICVT (float -> int, truncating)
-                    value = int(fregs[instr.b])
-                    regs[instr.a] = ((value + _TWO63) % _TWO64) - _TWO63
+                    regs[instr.a] = fcvtzs(fregs[instr.b])
                 elif op == 49:  # FLT
                     regs[instr.a] = 1 if fregs[instr.b] < fregs[instr.c] else 0
                 elif op == 50:  # FLE
@@ -319,3 +371,17 @@ def run(proc, budget: int) -> Stop:
     cpu.overflow_deliver_at = deliver_at
     cpu.instr_overflow_at = instr_ovf_at
     return stop
+
+
+def _block_fault_stop(exc: BaseException, executed: int, pc: int,
+                      op: int) -> Stop:
+    """The ``Stop`` the single-step loop returns for ``exc`` raised by the
+    instruction ``op`` at ``pc``."""
+    if isinstance(exc, PageFault):
+        return Stop(StopReason.FAULT, executed,
+                    Fault(FaultKind.PAGE_FAULT, exc.address, exc.access))
+    if isinstance(exc, FramePoolExhausted):
+        return Stop(StopReason.OOM, executed, needed=exc.needed)
+    return Stop(StopReason.FAULT, executed,
+                Fault(FaultKind.DIVIDE_BY_ZERO, pc,
+                      "fp" if op == FDIV else ""))

@@ -142,6 +142,9 @@ FAR_BRANCH_OPCODES = frozenset({SYSCALL})
 NONDET_OPCODES = frozenset({RDTSC, MRS, CPUID})
 #: Memory-touching instructions (used by the memory-intensity profiler).
 MEMORY_OPCODES = frozenset({LD, ST, LDB, STB, FLD, FST, VLD, VST})
+#: Instructions that may stop the interpreter without retiring (halt,
+#: syscall, brk, trapped nondet reads); compiled blocks never contain one.
+STOPPING_OPCODES = frozenset({HALT, SYSCALL, BRK}) | NONDET_OPCODES
 
 _R3 = frozenset({
     ADD, SUB, MUL, DIV, MOD, AND, OR, XOR, SLL, SRL, SRA,

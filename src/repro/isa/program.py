@@ -36,6 +36,10 @@ class Program:
         self.labels = dict(labels or {})
         self.data = bytes(data)
         self.name = name
+        #: pc -> compiled basic block (:mod:`repro.cpu.blocks`), filled on
+        #: first run and shared by every address space loaded from this
+        #: program, so ``instrs`` must not change after the first load.
+        self.blocks: Dict[int, object] = {}
 
     def __len__(self) -> int:
         return len(self.instrs)

@@ -22,7 +22,7 @@ import struct
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import MemoryError_
-from repro.isa.instructions import Instr
+from repro.isa.instructions import STOPPING_OPCODES, Instr
 from repro.isa.program import (
     CODE_BASE,
     DATA_BASE,
@@ -116,6 +116,10 @@ class AddressSpace:
         # Code is a pre-decoded instruction list, patchable (for the mrs ->
         # brk binary patching of paper §4.3.4).  Forks copy the list.
         self.code: List[Instr] = []
+        # The interpreter's pc -> compiled block cache: the program's, shared
+        # with every space loaded from it and every fork, until a patch
+        # touches an instruction a block could hold.
+        self.blocks: Dict[int, object] = {}
         self.code_base = CODE_BASE
         self.brk_base = 0
         self.brk_current = 0
@@ -130,6 +134,7 @@ class AddressSpace:
         """Map a program image: code, data+heap, stack."""
         self.code = list(program.instrs)
         self.code_base = CODE_BASE
+        self.blocks = program.blocks
         data_pages = max(1, -(-len(program.data) // self.page_size))
         self._map_pages(DATA_BASE, data_pages, PROT_READ | PROT_WRITE,
                         kind="data", initial=program.data)
@@ -289,13 +294,21 @@ class AddressSpace:
     def load_word(self, address: int) -> int:
         if address % 8:
             raise PageFault(address, "misaligned-read")
-        pte, offset = self._pte_for_read(address)
+        vpn, offset = divmod(address, self.page_size)
+        pte = self.pages.get(vpn)
+        if pte is None:
+            raise PageFault(address, "read")
         return _unpack_word(pte.frame.data, offset)[0]
 
     def store_word(self, address: int, value: int) -> None:
         if address % 8:
             raise PageFault(address, "misaligned-write")
-        pte, offset = self._pte_for_write(address)
+        vpn, offset = divmod(address, self.page_size)
+        pte = self.pages.get(vpn)
+        # Fast path: a private page already marked dirty needs no fault
+        # handling; anything else takes the full write path.
+        if pte is None or pte.cow or not pte.writable or not pte.soft_dirty:
+            pte, offset = self._pte_for_write(address)
         _pack_word(pte.frame.data, offset, value & 0xFFFF_FFFF_FFFF_FFFF)
 
     def load_byte(self, address: int) -> int:
@@ -357,6 +370,13 @@ class AddressSpace:
             raise MemoryError_(f"patch outside code segment: {address:#x}")
         original = self.code[index]
         self.code[index] = instr
+        if original.op not in STOPPING_OPCODES \
+                or instr.op not in STOPPING_OPCODES:
+            # Blocks compiled from the old code may hold this slot: switch
+            # to a private cache (siblings keep theirs).  Swapping one
+            # stopping instruction for another, like the nondet -> brk
+            # patch, changes no block and keeps sharing.
+            self.blocks = {}
         return original
 
     def scan_code(self) -> Iterable[Tuple[int, Instr]]:
@@ -375,6 +395,7 @@ class AddressSpace:
         child = AddressSpace(self.pool, aslr=self.aslr, rng=self._rng)
         child.code = list(self.code)
         child.code_base = self.code_base
+        child.blocks = self.blocks
         child.brk_base = self.brk_base
         child.brk_current = self.brk_current
         child.vmas = [Vma(v.start, v.end, v.prot, v.kind, v.shared, v.name)
@@ -402,6 +423,7 @@ class AddressSpace:
         self.pages.clear()
         self.vmas.clear()
         self.code = []
+        self.blocks = {}
 
     # -- accounting / dirty tracking -----------------------------------------
 

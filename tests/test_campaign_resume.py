@@ -30,8 +30,13 @@ pytestmark = pytest.mark.skipif(
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
+#: Pid of the last process to start a ``slow_echo`` task; shared memory,
+#: so forked workers write where the test reads.
+TASK_PID = multiprocessing.Value("i", 0, lock=False)
+
 
 def slow_echo(task):
+    TASK_PID.value = os.getpid()
     time.sleep(0.05)
     return {"index": task.index, "shard": task.shard,
             "seed": task.seed % 997}
@@ -50,13 +55,16 @@ class TestWorkerSigkill:
                                   campaign_seed=6, shards=2).run()
 
         killed = threading.Event()
+        TASK_PID.value = 0
 
         def killer():
+            # Wait for a worker to start a task, so one is in flight.
             deadline = time.time() + 10.0
             while not killed.is_set() and time.time() < deadline:
-                children = multiprocessing.active_children()
-                if children:
-                    os.kill(children[0].pid, signal.SIGKILL)
+                pid = TASK_PID.value
+                if pid in {child.pid
+                           for child in multiprocessing.active_children()}:
+                    os.kill(pid, signal.SIGKILL)
                     killed.set()
                     return
                 time.sleep(0.01)

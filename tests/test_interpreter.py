@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.cpu import CpuContext, StopReason, run
+from repro.cpu import CpuContext, StopReason, blocks, run
 from repro.cpu.exceptions import FaultKind
-from repro.isa import DATA_BASE, assemble
+from repro.isa import CODE_BASE, DATA_BASE, Instr, assemble, make_brk
+from repro.isa import instructions as ins
+from repro.isa.program import Program
 from repro.mem import AddressSpace, FramePool
 
 PAGE = 4096
@@ -29,9 +31,10 @@ class StubProcess:
     """Minimal duck-typed process for driving the interpreter directly."""
 
     def __init__(self, source, data=b"", skid=0):
+        """``source`` is assembly text or an already built Program."""
         self.pool = FramePool(PAGE)
         self.mem = AddressSpace(self.pool, aslr=False)
-        program = assemble(source)
+        program = source if isinstance(source, Program) else assemble(source)
         if data:
             program = type(program)(program.instrs, program.labels, data, "t")
         self.mem.load_program(program)
@@ -189,6 +192,24 @@ class TestFloatAndVector:
         proc.run()
         assert proc.cpu.regs.fprs[2] == 3.5
         assert proc.cpu.regs.gprs[2] == 3
+
+    @pytest.mark.parametrize("setup, expected", [
+        ("fli f5, 1e308\nfmul f6, f5, f5", (1 << 63) - 1),        # +inf
+        ("fli f5, -1e308\nfli f4, 1e308\nfmul f6, f5, f4", -(1 << 63)),
+        ("fli f5, 1e308\nfmul f5, f5, f5\nfsub f6, f5, f5", 0),  # NaN
+        ("fli f6, -2.75", -2),
+        ("fli f6, 1e19", 10**19 - (1 << 64)),   # finite: still wraps
+    ])
+    @pytest.mark.parametrize("single_step", [False, True])
+    def test_icvt_of_non_finite_values(self, setup, expected, single_step):
+        """icvt follows FCVTZS on NaN and +-inf instead of crashing the
+        simulator, on both interpreter paths."""
+        proc = StubProcess(setup + "\nicvt r2, f6\nhalt\n")
+        if single_step:
+            proc.cpu.breakpoints.add(proc.mem.code_base + 0x1000)
+        stop = proc.run()
+        assert stop.reason == StopReason.HALTED
+        assert proc.cpu.regs.gprs[2] == expected
 
     def test_float_compare(self):
         proc = StubProcess("""
@@ -448,3 +469,76 @@ class TestDeterminism:
                 pass
             return proc.cpu.regs.snapshot(), proc.cpu.branches_retired
         assert execute(1) == execute(7) == execute(1000)
+
+
+LOOP = """
+    li r1, 40
+    la r2, 0x1000000
+loop:
+    st r1, r2, 0
+    ld r3, r2, 0
+    add r4, r4, r3
+    addi r1, r1, -1
+    bne r1, r0, loop
+    mrs r5, 0
+    halt
+"""
+
+
+def loop_program():
+    program = assemble(LOOP)
+    return Program(program.instrs, program.labels, b"\0" * 64, "t")
+
+
+def block_fns(space):
+    return {pc: block.fn for pc, block in space.blocks.items() if block.fn}
+
+
+class TestBlockCache:
+    def test_spaces_and_forks_share_compiled_blocks(self):
+        program = loop_program()
+        first, second = StubProcess(program), StubProcess(program)
+        first.run()
+        assert block_fns(first.mem)
+        assert second.mem.blocks is first.mem.blocks
+        child = second.mem.fork()
+        assert child.blocks is program.blocks
+        assert block_fns(child) == block_fns(first.mem)
+
+    def test_patching_a_block_instruction_goes_private(self):
+        program = loop_program()
+        patched, sibling = StubProcess(program), StubProcess(program)
+        sibling.run()
+        before = block_fns(sibling.mem)
+        loop_pc = program.address_of("loop")
+        patched.mem.patch_code(loop_pc + 8, Instr(ins.SUB, 4, 4, 3))
+        assert patched.mem.blocks is not program.blocks
+        patched.run()
+        assert patched.cpu.regs.gprs[4] == -sibling.cpu.regs.gprs[4]
+        assert sibling.mem.blocks is program.blocks
+        assert block_fns(sibling.mem) == before
+
+    def test_nondet_to_brk_patch_keeps_sharing(self):
+        program = loop_program()
+        proc = StubProcess(program)
+        proc.mem.patch_code(program.code_end - 8, make_brk())
+        assert proc.mem.blocks is program.blocks
+        assert proc.run().reason == StopReason.BRK
+        assert proc.cpu.regs.gprs[4] == sum(range(1, 41))
+
+    def test_rerunning_the_same_program_compiles_nothing(self):
+        StubProcess(loop_program()).run()
+        compiled = blocks.compiled_count()
+        again = StubProcess(loop_program())
+        again.run()
+        assert block_fns(again.mem)
+        assert blocks.compiled_count() == compiled
+
+    def test_blocks_do_not_overlap(self):
+        program = assemble("\n".join(["addi r1, r1, 1"] * 150) + "\nhalt\n")
+        cut = blocks.partition(program.instrs, CODE_BASE, program.entry)
+        spans = sorted((b.start, b.start + b.n) for b in cut.values())
+        assert all(end == next_start for (_, end), (next_start, _)
+                   in zip(spans, spans[1:]))
+        assert max(end - start for start, end in spans) == blocks.MAX_BLOCK
+        assert sum(end - start for start, end in spans) == 150
