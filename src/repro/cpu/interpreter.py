@@ -110,6 +110,8 @@ def run(proc, budget: int) -> Stop:
                     if block.branch:
                         bc += 1
                         if bc >= branch_target:
+                            # The branch retired as ir - 1: the delivery
+                            # point the single-step loop arms for it.
                             branch_target = _HUGE
                             deliver_at = ir + overcount + proc.skid_draw()
                     continue
