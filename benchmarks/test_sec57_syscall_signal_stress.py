@@ -42,6 +42,7 @@ def test_sec57_raft_shares_syscall_cost(benchmark):
     from repro.kernel import Kernel
     from repro.minic import compile_source
     from repro.core import Parallaft
+    from repro.modes import get_mode
     from repro.sim import Executor, apple_m2
 
     program = compile_source(_GETPID_STRESS % {"iters": 300})
@@ -61,7 +62,7 @@ def test_sec57_raft_shares_syscall_cost(benchmark):
 
     base = benchmark.pedantic(lambda: run(None), rounds=1, iterations=1)
     parallaft_slow = run(ParallaftConfig()) / base
-    raft_slow = run(ParallaftConfig.raft()) / base
+    raft_slow = run(get_mode("raft").make_config()) / base
     print_rows("§5.7: getpid slowdown, Parallaft vs RAFT",
                [f"parallaft {parallaft_slow:.1f}x   raft {raft_slow:.1f}x"],
                "RAFT incurs almost identical slowdown (shared logic)")

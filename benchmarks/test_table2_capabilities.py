@@ -18,6 +18,7 @@ from conftest import print_rows
 from repro.core import Parallaft, ParallaftConfig
 from repro.harness.figures import table2_capabilities
 from repro.minic import compile_source
+from repro.modes import get_mode
 from repro.sim import apple_m2
 
 # A fault in state that is live (compared at segment ends) but never
@@ -66,7 +67,7 @@ def test_table2_detection_guarantee(benchmark):
         config = ParallaftConfig()
         config.slicing_period = 400_000_000
         fired_p, parallaft_stats = _run(config, corrupt_scratch=True)
-        fired_r, raft_stats = _run(ParallaftConfig.raft(),
+        fired_r, raft_stats = _run(get_mode("raft").make_config(),
                                    corrupt_scratch=True)
         return fired_p, parallaft_stats, fired_r, raft_stats
 

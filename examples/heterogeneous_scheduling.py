@@ -11,7 +11,7 @@ the energy bill is compared against the homogeneous RAFT model.
 """
 
 from repro import Parallaft, ParallaftConfig, compile_source
-from repro.raft import Raft
+from repro.modes import get_mode
 from repro.sim import apple_m2
 from repro.workloads import benchmark
 
@@ -21,7 +21,8 @@ def run(bench_name, mode):
     source, files = bench.build(1, 1)
     program = compile_source(source, name=bench_name)
     if mode == "raft":
-        runtime = Raft(program, platform=apple_m2(), files=files)
+        runtime = Parallaft(program, config=get_mode("raft").make_config(),
+                            platform=apple_m2(), files=files)
     else:
         config = ParallaftConfig()
         config.slicing_period = 625_000_000  # paper-equivalent 5B cycles

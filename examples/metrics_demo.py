@@ -24,6 +24,7 @@ import argparse
 from repro import Parallaft, ParallaftConfig, compile_source
 from repro.harness.report import render_phase_breakdown
 from repro.metrics import Dashboard, collapsed_stacks, prometheus_text
+from repro.modes import get_mode
 from repro.sim import apple_m2
 
 WORKLOAD = """
@@ -43,7 +44,7 @@ func main() {
 
 def protected_run(mode):
     if mode == "raft":
-        config = ParallaftConfig.raft()
+        config = get_mode("raft").make_config()
     else:
         config = ParallaftConfig()
         config.slicing_period = 150_000_000

@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from repro import Parallaft, ParallaftConfig, compile_source, platform_by_name
-from repro.raft import raft_config
+from repro.modes import get_mode
 
 DEMO = """
 // Demo workload: hash a stream of pseudo-random records.
@@ -54,7 +54,7 @@ def main():
                              name=args.source or "demo")
 
     if args.raft:
-        config = raft_config()
+        config = get_mode("raft").make_config()
     else:
         config = ParallaftConfig()
         config.slicing_period = args.period

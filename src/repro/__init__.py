@@ -21,9 +21,10 @@ Run the paper's experiments::
 Layers (bottom-up): :mod:`repro.isa` / :mod:`repro.minic` (programs),
 :mod:`repro.mem` / :mod:`repro.cpu` / :mod:`repro.kernel` (machine),
 :mod:`repro.sim` (heterogeneous timing/energy), :mod:`repro.core`
-(the Parallaft runtime), :mod:`repro.raft` (baseline),
-:mod:`repro.faults` (injection), :mod:`repro.workloads` /
-:mod:`repro.harness` (evaluation).
+(the shared runtime mechanism), :mod:`repro.modes` (detection
+policies: ``parallaft``, the ``raft`` baseline and ``tmr``, each with
+its config preset), :mod:`repro.faults` (injection),
+:mod:`repro.workloads` / :mod:`repro.harness` (evaluation).
 """
 
 from repro.core import (
@@ -34,7 +35,6 @@ from repro.core import (
     Parallaft,
     ParallaftConfig,
     RunStats,
-    RuntimeMode,
     protect,
 )
 from repro.faults import CampaignResult, FaultInjector, Outcome
@@ -47,7 +47,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Parallaft",
     "ParallaftConfig",
-    "RuntimeMode",
     "DirtyPageBackend",
     "ExecPointCounter",
     "ComparisonStrategy",

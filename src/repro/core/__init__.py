@@ -13,7 +13,6 @@ from repro.core.config import (
     DirtyPageBackend,
     ExecPointCounter,
     ParallaftConfig,
-    RuntimeMode,
 )
 from repro.core.dirty_tracker import DirtyPageTracker
 from repro.core.exec_point import (
@@ -38,7 +37,6 @@ __all__ = [
     "Parallaft",
     "protect",
     "ParallaftConfig",
-    "RuntimeMode",
     "DirtyPageBackend",
     "ExecPointCounter",
     "ComparisonStrategy",

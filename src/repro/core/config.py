@@ -5,9 +5,10 @@ branch-counter execution points with a skid buffer (§4.2), a 1.1x checker
 instruction timeout (§4.2.2), dirty-page hashing with XXH3-64 (§4.4), and
 the checker scheduler/pacer enabled (§4.5).
 
-``RuntimeMode.RAFT`` reconfigures the same runtime the way the paper models
-RAFT (§5.1): no periodic slicing (single segment), checkers on big cores,
-no end-of-segment state comparison or dirty-page tracking.
+``mode`` names a registered :class:`~repro.modes.DetectionMode`; each
+mode's ``make_config`` presets the fields it needs (the ``raft`` mode
+reconfigures this runtime the way the paper models RAFT, §5.1) and
+checks its own rules when the config is validated.
 """
 
 from __future__ import annotations
@@ -18,15 +19,6 @@ from typing import Optional
 
 from repro.common.errors import RuntimeConfigError
 from repro.common.units import BILLION
-
-
-class RuntimeMode(enum.Enum):
-    PARALLAFT = "parallaft"
-    RAFT = "raft"
-    #: Elzar-style triple modular redundancy: the main plus two checker
-    #: replicas per segment, a 3-way majority vote at segment boundaries
-    #: and forward recovery (adopt the majority state, never roll back).
-    TMR = "tmr"
 
 
 class DirtyPageBackend(enum.Enum):
@@ -54,7 +46,8 @@ class ComparisonStrategy(enum.Enum):
 
 @dataclass
 class ParallaftConfig:
-    mode: RuntimeMode = RuntimeMode.PARALLAFT
+    #: Registered detection-mode name (``repro.modes.registered_modes``).
+    mode: str = "parallaft"
 
     #: Slicing period in *hardware* units; interpreted per ``slicing_unit``.
     slicing_period: float = 5 * BILLION
@@ -140,12 +133,6 @@ class ParallaftConfig:
     #: §3.4 rejects it for exactly that reason — the ablation bench
     #: measures the cost).
     error_containment: bool = False
-
-    #: Mask vDSO/rseq fast paths so the program falls back to replayable
-    #: syscalls (paper §4.3.5).  Informational in this substrate (programs
-    #: always use real syscalls), but kept for stats parity.
-    mask_vdso: bool = True
-    mask_rseq: bool = True
 
     # -- integrity hardening against *infrastructure* faults ---------------
     # The detection machinery itself (dirty tracker, R/R log, retained
@@ -241,25 +228,10 @@ class ParallaftConfig:
                 "recovery_watchdog_scale must exceed 1.0")
         if self.recovery_shrink_limit < 0:
             raise RuntimeConfigError("recovery_shrink_limit must be >= 0")
-        if self.enable_recovery and self.mode is RuntimeMode.RAFT:
-            raise RuntimeConfigError(
-                "recovery requires segment checkpoints; RAFT mode has none")
+        self.detection_mode().validate_config(self)
         if self.enable_recovery and not self.compare_state:
             raise RuntimeConfigError(
                 "recovery requires state comparison (compare_state)")
-        if self.mode is RuntimeMode.TMR:
-            if not self.compare_state:
-                raise RuntimeConfigError(
-                    "TMR votes over boundary state; compare_state must "
-                    "stay enabled")
-            if self.enable_recovery:
-                raise RuntimeConfigError(
-                    "TMR recovers forward (majority adoption); rollback "
-                    "recovery (enable_recovery) is incompatible")
-            if self.retry_failed_checkers:
-                raise RuntimeConfigError(
-                    "TMR absorbs single-replica faults by outvoting them; "
-                    "retry_failed_checkers is incompatible")
         if not 0.0 <= self.meek_split <= 1.0:
             raise RuntimeConfigError("meek_split must be in [0, 1]")
         if self.meek_split > 0.0 and not self.compare_state:
@@ -296,38 +268,19 @@ class ParallaftConfig:
     def retains_recovery_checkpoint(self) -> bool:
         """Whether segment-start checkpoints outlive checker placement
         (needed by the retry and rollback extensions, and by the pressure
-        controller so shed checkers can be re-spawned — RAFT mode has no
-        per-segment checkpoints, so a budget alone never retains there).
+        controller so shed checkers can be re-spawned — a mode that does
+        not slice has no per-segment checkpoints, so a budget alone never
+        retains there).
         Only an explicit ``mem_budget_bytes`` counts: the runtime copies
         the ``REPRO_MEM_BUDGET`` fallback into its own config at assembly
         time, so a bare config object never retains."""
         return (self.retry_failed_checkers or self.enable_recovery
                 or (self.mem_budget_bytes is not None
-                    and self.mode is not RuntimeMode.RAFT))
+                    and self.detection_mode().slices))
 
     def detection_mode(self):
         """Resolve this config's :class:`~repro.modes.DetectionMode`
-        policy object from the mode registry (lazy import: the registry
-        imports this module for the mode factories)."""
+        policy object from the mode registry (lazy import: the modes
+        import the core package)."""
         from repro.modes import get_mode
-        return get_mode(self.mode.value)
-
-    @classmethod
-    def raft(cls) -> "ParallaftConfig":
-        """The paper's RAFT model (§5.1): one segment, big-core checker,
-        no state comparison."""
-        return cls(
-            mode=RuntimeMode.RAFT,
-            slicing_period=float("inf"),
-            compare_state=False,
-            enable_migration=False,
-            enable_dvfs_pacer=False,
-            checker_cluster="big",
-        )
-
-    @classmethod
-    def tmr(cls) -> "ParallaftConfig":
-        """Elzar-style TMR (PAPERS.md): the Parallaft segment pipeline
-        with two checker replicas per segment, a 3-way majority vote at
-        each boundary, and forward recovery instead of rollback."""
-        return cls(mode=RuntimeMode.TMR)
+        return get_mode(self.mode)

@@ -10,9 +10,11 @@ per-segment R/R logs, replays checkers to recorded execution points on
 little cores, compares program state at segment ends, and schedules/paces
 checkers for energy efficiency.
 
-The same class runs the paper's RAFT model (§5.1) via
-``ParallaftConfig.raft()``: a single segment whose checker runs concurrently
-on a big core with no state comparison.
+Detection policy comes from the config's registered mode
+(:mod:`repro.modes`): the same class runs the paper's RAFT model (§5.1)
+under ``get_mode("raft").make_config()`` — a single segment whose
+checker runs concurrently on a big core with no state comparison — and
+TMR's majority vote with forward recovery.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from repro.core.config import (
     DirtyPageBackend,
     ExecPointCounter,
     ParallaftConfig,
-    RuntimeMode,
 )
 from repro.core.dirty_tracker import DirtyPageTracker
 from repro.core.pressure import PressureController
@@ -675,24 +676,6 @@ class Parallaft(Tracer):
             if proc.alive:
                 self.kernel.exit_process(proc, exit_code)
             self.kernel.reap(proc)
-
-    def _discard_replica(self, segment: Segment, replica) -> None:
-        """Remove one outvoted replica (TMR absorption): the segment
-        lives on with the surviving voters."""
-        proc = replica.process
-        if proc is not None:
-            self.segment_of_checker.pop(proc.pid, None)
-            self._stalled_checkers.discard(proc.pid)
-            # Count its work as checker time now — it will never retire.
-            self.stats.checker_user_time += proc.user_time
-            self.stats.checker_sys_time += proc.sys_time
-            self.stats.checker_cycles_big += proc.cycles_big
-            self.stats.checker_cycles_little += proc.cycles_little
-            if proc.alive:
-                self.kernel.exit_process(proc, 1)
-            self.executor.unassign(proc)
-            self.kernel.reap(proc)
-        segment.replicas.remove(replica)
 
     def _respawn_checker(self, segment: Segment, name: str,
                          cause: str) -> None:
@@ -1427,53 +1410,22 @@ class Parallaft(Tracer):
             self.recovery.on_segment_verified(segment)
         self._retire_segment(segment)
 
-    def _forward_recover(self, segment: Segment, vote) -> None:
-        """The main was outvoted: adopt the majority state and continue
-        *forward* from the boundary (TMR; never a rollback).
+    def _adopt_main(self, new_main: Process,
+                    swap: Callable[[Process, Process], Process]) -> None:
+        """Make ``new_main`` the main in place of the current one.
 
-        The winning replica replayed the segment from the verified start
-        state, so its state at the end point *is* the majority state —
-        promotion needs no patching: the winner simply becomes the new
-        main.  Execution the old main performed past this boundary was
-        built on the faulted state and is discarded (segments after this
-        one roll up as ``segment_rolled_back`` with
-        ``cause="forward_recovery"``); the boundary itself — and every
-        byte of output committed before it — survives, which is what
-        distinguishes forward recovery from a rollback.
+        The one main-swap mechanism, shared by rollback recovery (``swap``
+        is ``Kernel.rollback_to_checkpoint``: a retained checkpoint
+        resumes) and TMR forward recovery (``Kernel.promote_process``: the
+        winning replica runs on).  ``swap`` kills and reaps the old main;
+        the new one takes over its role, its spawn time and a core (the
+        old main's when free), and the recording state that belonged to
+        the discarded execution is reset.  The caller opens the next
+        segment.
         """
-        winner = segment.replicas[vote.winner_index]
-        new_main = winner.process
         old_main = self.main
-        main_was_alive = old_main.alive
-        # -- detach the winner from its checker identity ---------------
-        segment.replicas.remove(winner)
-        self.segment_of_checker.pop(new_main.pid, None)
-        self._stalled_checkers.discard(new_main.pid)
-        # Its replay work stays accounted as checker work; from here on
-        # its cycles are the main's.
-        self.stats.checker_user_time += new_main.user_time
-        self.stats.checker_sys_time += new_main.sys_time
-        self.stats.checker_cycles_big += new_main.cycles_big
-        self.stats.checker_cycles_little += new_main.cycles_little
-        winner.replayer = None
-        new_main.cpu.disarm_branch_overflow()
-        new_main.cpu.disarm_instr_overflow()
-        # -- discard everything recorded after the boundary ------------
-        later = [s for s in self.segments
-                 if s.index > segment.index and s.live]
-        if later:
-            first = min(later, key=lambda s: s.index)
-            self._truncate_consoles(first)
-        for stale in later:
-            # De-queue first: a discard frees cores, and the scheduler
-            # would otherwise place a sibling we are about to tear down.
-            if stale in self.sched.pending:
-                self.sched.pending.remove(stale)
-        for stale in later:
-            self._discard_segment_forward(stale)
-        # -- retire the old main (no rollback is counted) --------------
         old_core = old_main.core
-        self.kernel.promote_process(old_main, new_main)
+        swap(old_main, new_main)
         self.roles.pop(old_main.pid, None)
         self.executor.unassign(old_main)
         self.executor.unassign(new_main)
@@ -1486,66 +1438,18 @@ class Parallaft(Tracer):
         if core is None or core.occupant is not None:
             core = (self.executor.free_core("big")
                     or self.executor.free_core("little"))
-        self.executor.assign(new_main, core)
-        new_main.state = ProcessState.RUNNING
+        # Set before assign: assign runs the charges deferred to
+        # ``new_main`` (a rollback's restore cost), which start no
+        # earlier than now.
         new_main.ready_time = max(new_main.ready_time,
                                   self.executor.current_time)
-        # -- reset coordinator state the discarded execution owned -----
+        self.executor.assign(new_main, core)
         self.current = None
         self._pending_syscall = None
         self._pending_mmap_split = False
         self._main_stalled_on_cap = False
         self._main_stalled_for_containment = False
         self._main_stalled_on_pressure = False
-        self.stats.tmr_forward_recoveries += 1
-        self._emit(tev.FORWARD_RECOVERY, proc=new_main,
-                   segment=segment.index, winner_pid=new_main.pid,
-                   discarded=[s.index for s in later])
-        # The boundary itself is majority-verified.
-        self._segment_verified(segment)
-        if main_was_alive:
-            # The old main was mid-recording: open a fresh segment from
-            # the adopted state.
-            self.sched.main_done = False
-            self._start_segment()
-        else:
-            # Final segment: the promoted winner sits on the exit
-            # syscall's execution point and will exit natively with the
-            # majority state.
-            self.kernel.reap(old_main)
-
-    def _truncate_consoles(self, first_discarded: Segment) -> None:
-        """Throw away console output the discarded execution produced."""
-        for console, stream, mark in (
-                (self.kernel.console, "stdout",
-                 first_discarded.console_mark),
-                (self.kernel.stderr_console, "stderr",
-                 first_discarded.stderr_mark)):
-            if console.mark() > mark:
-                console.truncate(mark)
-                self._emit(tev.CONSOLE_TRUNCATE, stream=stream,
-                           length=mark,
-                           segment=first_discarded.index)
-
-    def _discard_segment_forward(self, segment: Segment) -> None:
-        """Discard a segment recorded after a forward-recovery boundary:
-        its start state descends from the outvoted main."""
-        if segment in self.sched.pending:
-            self.sched.pending.remove(segment)
-        self._teardown_replicas(segment)
-        self.sched.on_checker_done(segment)
-        segment.checker = None
-        if segment.end_checkpoint is not None and not segment.end_is_main:
-            self.roles.pop(segment.end_checkpoint.pid, None)
-            self.kernel.reap(segment.end_checkpoint)
-            segment.end_checkpoint = None
-        if segment.recovery_checkpoint is not None:
-            self.roles.pop(segment.recovery_checkpoint.pid, None)
-            self.kernel.reap(segment.recovery_checkpoint)
-            segment.recovery_checkpoint = None
-        segment.status = SegmentStatus.ROLLED_BACK
-        self._emit(tev.SEGMENT_ROLLED_BACK, segment=segment.index,
-                   cause="forward_recovery")
 
     def _retire_segment(self, segment: Segment) -> None:
         if segment.retired:
@@ -1650,13 +1554,14 @@ class Parallaft(Tracer):
         self._finalize_metrics()
 
     def _finalize_metrics(self) -> None:
-        """Snapshot the phase profiler, mirror kernel counters into the
-        registry, and emit the ``phase_totals`` conservation event."""
+        """Snapshot the phase profiler, refresh the pull-hooked gauges
+        (the run stats), mirror kernel counters into the registry, and
+        emit the ``phase_totals`` conservation event."""
+        self.metrics.refresh()
         for key, value in self.kernel.stats.items():
             self.metrics.counter(f"kernel.{key}").set(float(value))
         profile = self.profiler.finish()
         self.stats.phase_profile = profile
-        self.stats.metrics = self.metrics
         if not self.profiler.enabled:
             return
         for phase, cyc in profile.cycles.items():

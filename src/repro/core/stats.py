@@ -3,13 +3,13 @@
 ``timing.main_user_time``/``main_sys_time``, ``counter.checkpoint_count``,
 ``fixed_interval_slicer.nr_slices``, plus energy and error reporting.
 
-``RunStats`` is a thin view over the metric registry: the exported key
-of every scalar is defined exactly once, in :data:`STAT_SCHEMA`, and
-both ``to_dict`` and the registry mirror are derived from it.  Binding a
-:class:`~repro.metrics.MetricRegistry` (``bind_registry``) makes every
-subsequent field write also land in the registry under its dotted key,
-so exporters see the same numbers the dict dump reports — without
-hand-maintaining two field enumerations that can drift apart.
+The dataclass fields are the only store of every run statistic.  The
+exported key of each scalar is defined exactly once, in
+:data:`STAT_SCHEMA`, and both ``to_dict`` and the registry view are
+derived from it: binding a :class:`~repro.metrics.MetricRegistry`
+(``bind_registry``) registers one gauge per schema key whose pull hook
+reads the field, so the registry reports the numbers the dict dump
+reports without keeping a second copy of them.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ class StatField(NamedTuple):
 
     attr: str
     key: str
-    #: 'counter' mirrors into a registry counter; 'gauge' into a gauge;
-    #: 'derived' is computed (a property) and never mirrored.
-    kind: str = "gauge"
+    #: A computed property: exported by ``to_dict`` but given no gauge.
+    derived: bool = False
 
 
 #: The single definition of every scalar ``to_dict`` exports, in the
@@ -54,49 +53,42 @@ STAT_SCHEMA: Tuple[StatField, ...] = (
     StatField("main_sys_time", "timing.main_sys_time"),
     StatField("checker_user_time", "timing.checker_user_time"),
     StatField("checker_sys_time", "timing.checker_sys_time"),
-    StatField("checkpoint_count", "counter.checkpoint_count", "counter"),
-    StatField("nr_slices", "fixed_interval_slicer.nr_slices", "counter"),
-    StatField("syscalls_recorded", "counter.syscalls_recorded", "counter"),
-    StatField("syscalls_replayed", "counter.syscalls_replayed", "counter"),
-    StatField("signals_recorded", "counter.signals_recorded", "counter"),
-    StatField("nondet_recorded", "counter.nondet_recorded", "counter"),
-    StatField("bytes_recorded", "counter.bytes_recorded", "counter"),
-    StatField("segments_checked", "counter.segments_checked", "counter"),
-    StatField("checker_retries", "counter.checker_retries", "counter"),
-    StatField("checker_migrations", "counter.checker_migrations", "counter"),
-    StatField("checkers_finished_on_big",
-              "counter.checkers_finished_on_big", "counter"),
-    StatField("mmap_splits", "counter.mmap_splits", "counter"),
-    StatField("recovery_rollbacks", "counter.recovery.rollbacks", "counter"),
-    StatField("recovery_retries", "counter.recovery.retries", "counter"),
-    StatField("recovery_wasted_cycles",
-              "counter.recovery.wasted_cycles", "counter"),
-    StatField("tmr_votes", "counter.tmr.votes", "counter"),
-    StatField("tmr_outvoted", "counter.tmr.outvoted", "counter"),
-    StatField("tmr_forward_recoveries",
-              "counter.tmr.forward_recoveries", "counter"),
-    StatField("meek_early_checks", "counter.meek.early_checks", "counter"),
-    StatField("meek_early_detections",
-              "counter.meek.early_detections", "counter"),
-    StatField("integrity_checks", "counter.integrity.checks", "counter"),
-    StatField("integrity_failures", "counter.integrity.failures", "counter"),
-    StatField("pressure_stalls", "counter.pressure.stalls", "counter"),
-    StatField("pressure_sheds", "counter.pressure.sheds", "counter"),
-    StatField("pressure_evictions", "counter.pressure.evictions", "counter"),
-    StatField("pressure_adaptations",
-              "counter.pressure.adaptations", "counter"),
-    StatField("checker_ooms", "counter.pressure.checker_ooms", "counter"),
-    StatField("oom_kills", "counter.oom_kills", "counter"),
+    StatField("checkpoint_count", "counter.checkpoint_count"),
+    StatField("nr_slices", "fixed_interval_slicer.nr_slices"),
+    StatField("syscalls_recorded", "counter.syscalls_recorded"),
+    StatField("syscalls_replayed", "counter.syscalls_replayed"),
+    StatField("signals_recorded", "counter.signals_recorded"),
+    StatField("nondet_recorded", "counter.nondet_recorded"),
+    StatField("bytes_recorded", "counter.bytes_recorded"),
+    StatField("segments_checked", "counter.segments_checked"),
+    StatField("checker_retries", "counter.checker_retries"),
+    StatField("checker_migrations", "counter.checker_migrations"),
+    StatField("checkers_finished_on_big", "counter.checkers_finished_on_big"),
+    StatField("mmap_splits", "counter.mmap_splits"),
+    StatField("recovery_rollbacks", "counter.recovery.rollbacks"),
+    StatField("recovery_retries", "counter.recovery.retries"),
+    StatField("recovery_wasted_cycles", "counter.recovery.wasted_cycles"),
+    StatField("tmr_votes", "counter.tmr.votes"),
+    StatField("tmr_outvoted", "counter.tmr.outvoted"),
+    StatField("tmr_forward_recoveries", "counter.tmr.forward_recoveries"),
+    StatField("meek_early_checks", "counter.meek.early_checks"),
+    StatField("meek_early_detections", "counter.meek.early_detections"),
+    StatField("integrity_checks", "counter.integrity.checks"),
+    StatField("integrity_failures", "counter.integrity.failures"),
+    StatField("pressure_stalls", "counter.pressure.stalls"),
+    StatField("pressure_sheds", "counter.pressure.sheds"),
+    StatField("pressure_evictions", "counter.pressure.evictions"),
+    StatField("pressure_adaptations", "counter.pressure.adaptations"),
+    StatField("checker_ooms", "counter.pressure.checker_ooms"),
+    StatField("oom_kills", "counter.oom_kills"),
     StatField("oom_killed", "oom_killed"),
     StatField("peak_resident_bytes", "memory.peak_resident_bytes"),
     StatField("checker_cycles_big", "work.checker_cycles_big"),
     StatField("checker_cycles_little", "work.checker_cycles_little"),
     StatField("big_core_work_fraction",
-              "work.big_core_work_fraction", "derived"),
+              "work.big_core_work_fraction", derived=True),
     StatField("energy_joules", "hwmon.total_energy"),
 )
-
-_MIRRORED = {f.attr: f for f in STAT_SCHEMA if f.kind != "derived"}
 
 
 @dataclass
@@ -170,29 +162,17 @@ class RunStats:
     stdout: str = ""
     stderr: str = ""
 
-    # -- registry mirror ---------------------------------------------------
+    # -- registry view -----------------------------------------------------
 
     def bind_registry(self, registry: MetricRegistry) -> None:
-        """Mirror every schema field into ``registry`` — current values
-        now, every assignment from here on.  ``to_dict`` keeps reading
-        the dataclass fields directly, so binding can never change its
-        output."""
-        self.__dict__["_registry"] = registry
+        """Register a gauge per non-derived schema key in ``registry``
+        whose pull hook (``Gauge.fn``) reads the field.  ``to_dict``
+        keeps reading the fields directly, so binding can never change
+        its output.  The stats keep no reference back to the registry:
+        the runtime owns it."""
         for f in STAT_SCHEMA:
-            if f.kind != "derived":
-                self._mirror(f, getattr(self, f.attr))
-
-    def _mirror(self, f: StatField, value) -> None:
-        registry = self.__dict__.get("_registry")
-        if registry is None:
-            return
-        registry.gauge(f.key).set(float(value))
-
-    def __setattr__(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
-        f = _MIRRORED.get(name)
-        if f is not None:
-            self._mirror(f, value)
+            if not f.derived:
+                registry.attr_gauge(f.key, self, f.attr)
 
     @property
     def error_detected(self) -> bool:

@@ -201,7 +201,7 @@ def run_protected(bench: Benchmark, mode: str = "parallaft",
             energy_joules=stats.energy_joules,
             stats=stats,
             pss_samples=list(stats.pss_samples),
-            metrics=getattr(stats, "metrics", None),
+            metrics=runtime.metrics,
             phase_profile=profile,
         ))
     return result

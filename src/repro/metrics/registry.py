@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
+    "AttrGauge",
     "Counter",
     "Gauge",
     "Histogram",
@@ -66,6 +67,10 @@ class Gauge:
     """Point-in-time value, optionally sampled into a time series."""
 
     kind = "gauge"
+    #: Optional pull hook (assign a callable, or override as a method):
+    #: when set, ``sample()``, ``refresh()``, ``value()`` and
+    #: ``to_snapshot()`` read it instead of relying on pushes.
+    fn: Optional[Callable[[], float]] = None
 
     def __init__(self, name: str, labels: Tuple[Tuple[str, str], ...] = ()):
         self.name = name
@@ -73,9 +78,6 @@ class Gauge:
         self.value = 0.0
         #: ``(virtual_time, value)`` pairs appended by ``Registry.sample``.
         self.series: List[Tuple[float, float]] = []
-        #: Optional pull hook: when set, ``sample()`` refreshes the value
-        #: from it instead of relying on pushes.
-        self.fn: Optional[Callable[[], float]] = None
         #: Virtual time of the most recent sampled write; drives the
         #: last-write-wins rule when shard registries merge.
         self.last_write = float("-inf")
@@ -88,6 +90,21 @@ class Gauge:
 
     def dec(self, amount: float = 1.0) -> None:
         self.value -= amount
+
+
+class AttrGauge(Gauge):
+    """A gauge whose pull hook reads ``getattr(source, attr)``: it
+    reports a value another object owns without keeping a copy or
+    holding a closure."""
+
+    def __init__(self, name: str, labels: Tuple[Tuple[str, str], ...] = (),
+                 source: object = None, attr: str = ""):
+        super().__init__(name, labels)
+        self.source = source
+        self.attr = attr
+
+    def fn(self) -> float:
+        return getattr(self.source, self.attr)
 
 
 class Histogram:
@@ -172,6 +189,10 @@ class MetricRegistry:
     def gauge(self, name: str, **labels) -> Gauge:
         return self._get(Gauge, name, labels)
 
+    def attr_gauge(self, name: str, source: object, attr: str,
+                   **labels) -> AttrGauge:
+        return self._get(AttrGauge, name, labels, source=source, attr=attr)
+
     def histogram(self, name: str, bounds: Sequence[float] = (),
                   **labels) -> Histogram:
         key = (name, _label_key(labels))
@@ -185,10 +206,13 @@ class MetricRegistry:
         return self._get(Histogram, name, labels, bounds=bounds)
 
     def value(self, name: str, default: float = 0.0, **labels) -> float:
-        """Current value of a counter/gauge, or ``default`` if absent."""
+        """Current value of a counter/gauge (a gauge's pull hook is
+        asked), or ``default`` if absent."""
         metric = self._metrics.get((name, _label_key(labels)))
         if metric is None:
             return default
+        if getattr(metric, "fn", None) is not None:
+            return float(metric.fn())
         return metric.value
 
     # -- iteration / sampling ---------------------------------------------
@@ -204,6 +228,13 @@ class MetricRegistry:
         for metric in self:
             if kind is None or metric.kind == kind:
                 yield metric
+
+    def refresh(self) -> None:
+        """Store every pull-hooked gauge's current value, so readers of
+        ``Gauge.value`` (the exporters, ``merge``) see it."""
+        for metric in self._metrics.values():
+            if isinstance(metric, Gauge) and metric.fn is not None:
+                metric.value = float(metric.fn())
 
     def sample(self, when: float) -> None:
         """Snapshot every gauge into its time series at virtual time

@@ -6,8 +6,13 @@ scheduler, whether the run is sliced into segments at all, what happens
 at a segment boundary (pairwise compare, majority vote, or nothing) and
 how a divergence is resolved (fail-stop, retry/rollback, or forward
 recovery).  The mechanism half — forking, replay, dirty tracking,
-scheduling — stays in :mod:`repro.core.runtime` and is shared by every
-mode.
+scheduling, swapping in a new main — stays in :mod:`repro.core.runtime`
+and is shared by every mode.
+
+A mode also owns its configuration: ``preset`` lists the
+:class:`~repro.core.config.ParallaftConfig` fields it sets over the
+defaults (``make_config`` builds from it), and ``validate_config``
+rejects field combinations the mode cannot run.
 
 Modes register themselves by name; :func:`get_mode` is the single
 resolution point used by ``ParallaftConfig.detection_mode()``, the
@@ -18,9 +23,10 @@ names instead of silently falling through to a default.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Dict, List, Type
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, RuntimeConfigError
 
 if TYPE_CHECKING:
     from repro.core.config import ParallaftConfig
@@ -39,7 +45,7 @@ class DetectionMode:
     state lives on the runtime and its :class:`RunStats`.
     """
 
-    #: Registry key; also the ``RuntimeMode`` enum value.
+    #: Registry key; the value of ``ParallaftConfig.mode``.
     name: str = ""
     #: One-line summary for ``--help`` and the docs table.
     summary: str = ""
@@ -50,22 +56,34 @@ class DetectionMode:
     concurrent_checking: bool = False
     #: Whether ``on_quantum`` slices the run into periodic segments.
     slices: bool = True
+    #: ``ParallaftConfig`` fields this mode sets over the defaults.
+    preset: Dict[str, object] = {}
 
     # ------------------------------------------------------------ config
 
     @classmethod
     def make_config(cls, **overrides) -> "ParallaftConfig":
-        """A fresh :class:`ParallaftConfig` preset for this mode."""
-        config = cls._base_config()
-        for key, value in overrides.items():
-            if not hasattr(config, key):
-                raise ConfigError(f"unknown config field {key!r}")
-            setattr(config, key, value)
-        return config
+        """A fresh :class:`ParallaftConfig`: the defaults, then this
+        mode's ``preset``, then ``overrides``.  An override that is not a
+        config field (or tries to change ``mode``) raises
+        :class:`ConfigError`."""
+        from repro.core.config import ParallaftConfig
+        fields = {f.name for f in dataclasses.fields(ParallaftConfig)}
+        bad = sorted(k for k in overrides if k not in fields or k == "mode")
+        if bad:
+            raise ConfigError(
+                f"unknown config field(s) for mode {cls.name!r}: "
+                f"{', '.join(bad)}")
+        return ParallaftConfig(mode=cls.name, **{**cls.preset, **overrides})
 
-    @classmethod
-    def _base_config(cls) -> "ParallaftConfig":
-        raise NotImplementedError
+    def validate_config(self, config: "ParallaftConfig") -> None:
+        """Reject config combinations this mode cannot run; called by
+        ``ParallaftConfig.validate``.  Rollback recovery needs the
+        per-segment checkpoints that only a slicing mode takes."""
+        if config.enable_recovery and not self.slices:
+            raise RuntimeConfigError(
+                f"recovery requires segment checkpoints; the {self.name} "
+                f"mode has none")
 
     # ------------------------------------------------- lifecycle hooks
 

@@ -187,9 +187,20 @@ def run_mode_comparison(program, modes: Sequence[str] = ("parallaft",
 
     ``program`` is a compiled :class:`~repro.isa.program.Program`;
     ``config_overrides`` (e.g. ``{"meek_split": 0.5}``) is applied to
-    every mode's config where the knob exists.  Returns
+    every mode's config through ``make_config``, so a key that is not a
+    config field raises :class:`~repro.common.errors.ConfigError` before
+    anything runs.  ``meek_split`` is dropped for modes that never
+    compare state (RAFT): it would have nothing to split.  Returns
     ``{mode: ModeRunSummary}`` in the order requested.
     """
+    overrides_of = {}
+    for mode_name in modes:
+        detection = get_mode(mode_name)  # typed error for unknown names
+        overrides = dict(config_overrides or {})
+        if not detection.make_config().compare_state:
+            overrides.pop("meek_split", None)
+        detection.make_config(**overrides)  # unknown keys raise here
+        overrides_of[mode_name] = overrides
     files = files or {}
     plan = plan_faults(injections, seed=seed)
     baseline = _baseline_wall(program, platform_factory(), files, seed,
@@ -197,20 +208,12 @@ def run_mode_comparison(program, modes: Sequence[str] = ("parallaft",
     summaries: Dict[str, ModeRunSummary] = {}
 
     for mode_name in modes:
-        detection = get_mode(mode_name)  # typed error for unknown names
-
-        def make_config():
-            base = detection._base_config()
-            overrides = {k: v for k, v in (config_overrides or {}).items()
-                         if hasattr(base, k)}
-            # meek_split divides the state check; a mode that never
-            # compares state (RAFT) has nothing to split.
-            if not base.compare_state:
-                overrides.pop("meek_split", None)
-            return detection.make_config(**overrides)
+        detection = get_mode(mode_name)
+        overrides = overrides_of[mode_name]
 
         def fresh_runtime():
-            return Parallaft(program, config=make_config(),
+            return Parallaft(program,
+                             config=detection.make_config(**overrides),
                              platform=platform_factory(), files=files,
                              seed=seed, quantum=quantum)
 

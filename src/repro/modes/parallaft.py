@@ -14,8 +14,3 @@ class ParallaftMode(DetectionMode):
     replica_count = 1
     concurrent_checking = False
     slices = True
-
-    @classmethod
-    def _base_config(cls):
-        from repro.core.config import ParallaftConfig
-        return ParallaftConfig()

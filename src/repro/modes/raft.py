@@ -1,6 +1,15 @@
-"""The RAFT baseline (paper §5.1): a single unsliced segment whose
-checker replays concurrently on a big core, detecting divergence only
-through the record/replay log (no boundary state compare)."""
+"""The RAFT baseline (Zhang et al., CGO 2012), as the paper models it.
+
+RAFT has no public release, so the paper models it by reconfiguring
+Parallaft (§5.1): (1) no periodic checkpoints — a single segment
+spanning the program; (2) homogeneous execution — the checker runs on a
+big core; (3) no end-of-segment state comparison or dirty-page
+tracking.  Syscall interception, comparison and record/replay are shared
+with Parallaft ("RAFT incurs almost identical slowdown because of shared
+syscall-handling logic", §5.7).  The checker runs *concurrently* with
+the main from program start, stalling when it catches up with the record
+log, and detects divergence only through that log.
+"""
 
 from __future__ import annotations
 
@@ -15,8 +24,12 @@ class RaftMode(DetectionMode):
     replica_count = 1
     concurrent_checking = True
     slices = False
-
-    @classmethod
-    def _base_config(cls):
-        from repro.core.config import ParallaftConfig
-        return ParallaftConfig.raft()
+    #: The paper's RAFT model (§5.1): one segment, a big-core checker,
+    #: no state comparison and no checker migration or pacing.
+    preset = {
+        "slicing_period": float("inf"),
+        "compare_state": False,
+        "enable_migration": False,
+        "enable_dvfs_pacer": False,
+        "checker_cluster": "big",
+    }

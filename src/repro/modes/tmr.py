@@ -21,10 +21,16 @@ A replica that fails *mid-replay* (divergence, exception, timeout) is
 outvoted immediately rather than failing the segment: the remaining
 voters still form a majority.  Integrity faults are never absorbed —
 they implicate the comparator or saved state, not one replica.
+
+Forward recovery is TMR policy and lives here; swapping the winner in
+as the main is the runtime mechanism ``Parallaft._adopt_main``, which
+rollback recovery shares.
 """
 
 from __future__ import annotations
 
+from repro.common.errors import RuntimeConfigError
+from repro.core.segment import SegmentStatus
 from repro.modes.base import DetectionMode, register_mode
 from repro.trace import events as tev
 
@@ -45,10 +51,20 @@ class TmrMode(DetectionMode):
     ABSORBABLE = frozenset({"syscall_divergence", "exception", "timeout",
                             "exec_point_overrun"})
 
-    @classmethod
-    def _base_config(cls):
-        from repro.core.config import ParallaftConfig
-        return ParallaftConfig.tmr()
+    def validate_config(self, config) -> None:
+        super().validate_config(config)
+        if not config.compare_state:
+            raise RuntimeConfigError(
+                "TMR votes over boundary state; compare_state must stay "
+                "enabled")
+        if config.enable_recovery:
+            raise RuntimeConfigError(
+                "TMR recovers forward (majority adoption); rollback "
+                "recovery (enable_recovery) is incompatible")
+        if config.retry_failed_checkers:
+            raise RuntimeConfigError(
+                "TMR absorbs single-replica faults by outvoting them; "
+                "retry_failed_checkers is incompatible")
 
     def boundary_check(self, rt, segment) -> None:
         """All replicas arrived: run the three-way vote."""
@@ -104,7 +120,7 @@ class TmrMode(DetectionMode):
                     f"main outvoted but the forward-recovery budget "
                     f"({config.max_forward_recoveries}) is spent")
                 return
-            rt._forward_recover(segment, vote)
+            self._forward_recover(rt, segment, vote)
             return
         rt._report_error(
             "vote_inconclusive", segment,
@@ -120,7 +136,7 @@ class TmrMode(DetectionMode):
             # Last live replica: two voters left, no majority possible —
             # let the error report proceed.
             return False
-        rt._discard_replica(segment, replica)
+        self._discard_replica(rt, segment, replica)
         rt.stats.tmr_outvoted += 1
         rt._emit(tev.OUTVOTED, segment=segment.index, loser="checker",
                  cause=kind, detail=detail)
@@ -129,3 +145,114 @@ class TmrMode(DetectionMode):
             # (degraded) vote now — nothing else will trigger it.
             self.boundary_check(rt, segment)
         return True
+
+    # ------------------------------------------------------ forward recovery
+
+    @staticmethod
+    def _detach_replica(rt, segment, replica):
+        """Take ``replica`` out of ``segment``'s voters and book its work
+        so far as checker time; returns its process."""
+        proc = replica.process
+        segment.replicas.remove(replica)
+        rt.segment_of_checker.pop(proc.pid, None)
+        rt._stalled_checkers.discard(proc.pid)
+        rt.stats.checker_user_time += proc.user_time
+        rt.stats.checker_sys_time += proc.sys_time
+        rt.stats.checker_cycles_big += proc.cycles_big
+        rt.stats.checker_cycles_little += proc.cycles_little
+        return proc
+
+    def _discard_replica(self, rt, segment, replica) -> None:
+        """Remove one outvoted replica: the segment lives on with the
+        surviving voters."""
+        proc = self._detach_replica(rt, segment, replica)
+        if proc.alive:
+            rt.kernel.exit_process(proc, 1)
+        rt.executor.unassign(proc)
+        rt.kernel.reap(proc)
+
+    def _forward_recover(self, rt, segment, vote) -> None:
+        """The main was outvoted: adopt the majority state and continue
+        *forward* from the boundary (never a rollback).
+
+        The winning replica replayed the segment from the verified start
+        state, so its state at the end point *is* the majority state —
+        promotion needs no patching: the winner simply becomes the new
+        main.  Execution the old main performed past this boundary was
+        built on the faulted state and is discarded (segments after this
+        one roll up as ``segment_rolled_back`` with
+        ``cause="forward_recovery"``); the boundary itself — and every
+        byte of output committed before it — survives, which is what
+        distinguishes forward recovery from a rollback.
+        """
+        old_main = rt.main
+        main_was_alive = old_main.alive
+        # From here on the winner's cycles are the main's.
+        winner = segment.replicas[vote.winner_index]
+        new_main = self._detach_replica(rt, segment, winner)
+        winner.replayer = None
+        new_main.cpu.disarm_branch_overflow()
+        new_main.cpu.disarm_instr_overflow()
+        # -- discard everything recorded after the boundary ------------
+        later = [s for s in rt.segments
+                 if s.index > segment.index and s.live]
+        if later:
+            self._truncate_consoles(rt, min(later, key=lambda s: s.index))
+        for stale in later:
+            # De-queue first: a discard frees cores, and the scheduler
+            # would otherwise place a sibling we are about to tear down.
+            if stale in rt.sched.pending:
+                rt.sched.pending.remove(stale)
+        for stale in later:
+            self._discard_segment_forward(rt, stale)
+        # -- retire the old main (no rollback is counted) --------------
+        rt._adopt_main(new_main, rt.kernel.promote_process)
+        rt.stats.tmr_forward_recoveries += 1
+        rt._emit(tev.FORWARD_RECOVERY, proc=new_main,
+                 segment=segment.index, winner_pid=new_main.pid,
+                 discarded=[s.index for s in later])
+        # The boundary itself is majority-verified.
+        rt._segment_verified(segment)
+        if main_was_alive:
+            # The old main was mid-recording: open a fresh segment from
+            # the adopted state.
+            rt.sched.main_done = False
+            rt._start_segment()
+        else:
+            # Final segment: the promoted winner sits on the exit
+            # syscall's execution point and will exit natively with the
+            # majority state.
+            rt.kernel.reap(old_main)
+
+    @staticmethod
+    def _truncate_consoles(rt, first_discarded) -> None:
+        """Throw away console output the discarded execution produced."""
+        for console, stream, mark in (
+                (rt.kernel.console, "stdout", first_discarded.console_mark),
+                (rt.kernel.stderr_console, "stderr",
+                 first_discarded.stderr_mark)):
+            if console.mark() > mark:
+                console.truncate(mark)
+                rt._emit(tev.CONSOLE_TRUNCATE, stream=stream, length=mark,
+                         segment=first_discarded.index)
+
+    @staticmethod
+    def _discard_segment_forward(rt, segment) -> None:
+        """Discard a segment recorded after a forward-recovery boundary:
+        its start state descends from the outvoted main."""
+        if segment in rt.sched.pending:
+            rt.sched.pending.remove(segment)
+        rt._teardown_replicas(segment)
+        rt.sched.on_checker_done(segment)
+        segment.checker = None
+        if segment.end_checkpoint is not None and not segment.end_is_main:
+            rt.roles.pop(segment.end_checkpoint.pid, None)
+            rt.kernel.reap(segment.end_checkpoint)
+            segment.end_checkpoint = None
+        if segment.recovery_checkpoint is not None:
+            rt.roles.pop(segment.recovery_checkpoint.pid, None)
+            rt.kernel.reap(segment.recovery_checkpoint)
+            segment.recovery_checkpoint = None
+        segment.status = SegmentStatus.ROLLED_BACK
+        rt._emit(tev.SEGMENT_ROLLED_BACK, segment=segment.index,
+                 cause="forward_recovery")

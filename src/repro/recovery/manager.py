@@ -150,7 +150,6 @@ class RecoveryManager:
 
         # Everything the main executed past the verified boundary is lost.
         wasted = max(0.0, old_main.user_cycles - segment.start_cycles)
-        old_core = old_main.core
 
         for other in rt.segments:
             if other.index < segment.index:
@@ -171,37 +170,15 @@ class RecoveryManager:
                  stream="stderr", length=segment.stderr_mark)
 
         # Replace the corrupted main with the verified checkpoint.
+        # Restoring costs what materializing the checkpoint's COW fork
+        # costs (rr-style restore is an unpause plus page-table work),
+        # charged once the restored main lands on a core.
         new_main = segment.recovery_checkpoint
         segment.recovery_checkpoint = None
-        rt.roles.pop(old_main.pid, None)
-        spawn_time = old_main.spawn_time
-        kernel.rollback_to_checkpoint(old_main, new_main)
-        rt.executor.unassign(old_main)
-        new_main.spawn_time = spawn_time  # wall time spans the whole run
-        rt.main = new_main
-        rt.roles[new_main.pid] = "main"
-
-        core = old_core if old_core is not None \
-            and old_core.occupant is None else None
-        if core is None:
-            core = (rt.executor.free_core("big")
-                    or rt.executor.free_core("little"))
-        rt.executor.assign(new_main, core)
-        new_main.ready_time = max(new_main.ready_time,
-                                  rt.executor.current_time)
-        # Restoring costs what materializing the checkpoint's COW fork
-        # costs (rr-style restore is an unpause plus page-table work).
-        rt.executor.charge(
+        rt.executor.charge_deferred(
             new_main, kernel.costs.fork_cycles(new_main.mem.mapped_pages),
             phase=mph.RECOVERY_ROLLBACK)
-
-        # Reset coordinator state that referred to the discarded timeline.
-        rt.current = None
-        rt._pending_syscall = None
-        rt._pending_mmap_split = False
-        rt._main_stalled_on_cap = False
-        rt._main_stalled_for_containment = False
-        rt._main_stalled_on_pressure = False
+        rt._adopt_main(new_main, kernel.rollback_to_checkpoint)
         rt.sched.main_done = False
         if rt.pressure is not None:
             rt.pressure.on_rollback()

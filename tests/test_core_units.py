@@ -1,4 +1,4 @@
-"""Unit tests: R/R log, syscall model, config, stats, RAFT veneer."""
+"""Unit tests: R/R log, syscall model, config, stats."""
 
 import pytest
 
@@ -7,13 +7,13 @@ from repro.core import (
     NondetRecord,
     ParallaftConfig,
     RrLog,
-    RuntimeMode,
     SignalRecord,
     SyscallRecord,
 )
 from repro.core import syscall_model
 from repro.core.stats import DetectedError, RunStats
 from repro.common.errors import RuntimeConfigError
+from repro.modes import get_mode
 
 
 class TestRrLog:
@@ -119,9 +119,9 @@ class TestConfig:
         assert config.compare_state
 
     def test_raft_preset(self):
-        config = ParallaftConfig.raft()
+        config = get_mode("raft").make_config()
         config.validate()
-        assert config.mode == RuntimeMode.RAFT
+        assert config.mode == "raft"
         assert config.slicing_period == float("inf")
         assert not config.compare_state
         assert config.checker_cluster == "big"
@@ -199,18 +199,3 @@ class TestStats:
         stats.checker_cycles_little = 75.0
         stats.checker_cycles_big = 25.0
         assert stats.big_core_work_fraction == pytest.approx(0.25)
-
-
-class TestRaftVeneer:
-    def test_raft_class_pins_config(self):
-        from repro.minic import compile_source
-        from repro.raft import Raft
-        runtime = Raft(compile_source("func main() { print_int(1); }"))
-        assert runtime.config.mode == RuntimeMode.RAFT
-        stats = runtime.run()
-        assert stats.stdout == "1\n"
-        assert not stats.error_detected
-
-    def test_raft_config_helper(self):
-        from repro.raft import raft_config
-        assert raft_config().mode == RuntimeMode.RAFT

@@ -397,6 +397,32 @@ class TestRunStatsView:
         # Binding never changes the dict dump.
         assert stats.to_dict()["counter.segments_checked"] == 5
 
+    @pytest.mark.parametrize("mode", ["parallaft", "tmr"])
+    def test_registry_view_after_a_sampled_run(self, mode):
+        """The registry reports exactly the numbers ``to_dict`` does —
+        through ``value``, through the exported (finalized) gauge values
+        — and the sampler recorded every schema gauge."""
+        from repro.core import Parallaft
+        from repro.minic import compile_source
+        from repro.modes import get_mode
+        from repro.sim import apple_m2
+        from repro.workloads import synthetic_source
+        config = get_mode(mode).make_config(slicing_period=40_000_000,
+                                            metrics_sample_interval=0.001)
+        runtime = Parallaft(compile_source(synthetic_source(
+            total_iters=8000)), config=config, platform=apple_m2())
+        stats = runtime.run()
+        assert stats.exit_code == 0 and stats.segments_checked >= 2
+        dump = stats.to_dict()
+        exported = parse_prometheus_text(prometheus_text(runtime.metrics))
+        for f in STAT_SCHEMA:
+            if f.derived:
+                continue
+            assert runtime.metrics.value(f.key) == dump[f.key], f.key
+            prom = f.key.replace(".", "_")
+            assert exported[prom] == float(dump[f.key]), f.key
+            assert runtime.metrics.gauge(f.key).series, f.key
+
     def test_schema_covers_every_to_dict_scalar(self):
         stats = RunStats()
         keys = set(stats.to_dict())

@@ -11,7 +11,7 @@ segment policy (replica count, boundary check, recovery) lives on its
 import pytest
 
 from repro.common.errors import ConfigError, RuntimeConfigError
-from repro.core import Parallaft, ParallaftConfig, RuntimeMode
+from repro.core import Parallaft, ParallaftConfig
 from repro.core.comparator import StateComparator
 from repro.faults.outcomes import Outcome, classify_run
 from repro.faults.sites import FaultSite
@@ -50,12 +50,17 @@ func main() {
 """
 
 
+def mode_config(mode, **overrides):
+    overrides.setdefault("slicing_period", 40_000_000)
+    return get_mode(mode).make_config(**overrides)
+
+
 def tmr_config(**overrides):
-    config = ParallaftConfig.tmr()
-    config.slicing_period = 40_000_000
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    return config
+    return mode_config("tmr", **overrides)
+
+
+#: Modes that compare state, hence accept a MEEK split.
+MEEK_MODES = ("parallaft", "tmr")
 
 
 def run_mode(config, source=SOURCE, seed=0, hook=None):
@@ -145,19 +150,64 @@ class TestRegistry:
             run_protected(benchmark("mcf"), mode="parallaftt")
 
     def test_make_config_shapes(self):
-        assert get_mode("parallaft").make_config().mode \
-            == RuntimeMode.PARALLAFT
+        assert get_mode("parallaft").make_config().mode == "parallaft"
         raft = get_mode("raft").make_config()
-        assert raft.mode == RuntimeMode.RAFT
+        assert raft.mode == "raft"
         assert get_mode("raft").slices is False
         assert raft.slicing_period == float("inf")
         tmr = get_mode("tmr").make_config()
-        assert tmr.mode == RuntimeMode.TMR
+        assert tmr.mode == "tmr"
         assert tmr.compare_state is True
 
     def test_make_config_rejects_unknown_knob(self):
         with pytest.raises(ConfigError):
             get_mode("tmr").make_config(meek_splitt=0.5)
+
+    @pytest.mark.parametrize("name", ["validate", "detection_mode",
+                                      "retains_recovery_checkpoint"])
+    def test_make_config_rejects_non_field_attributes(self, name):
+        """Regression: an override was accepted whenever the config had
+        an attribute of that name, so ``validate=0`` shadowed the method
+        and the next ``config.validate()`` raised TypeError."""
+        with pytest.raises(ConfigError):
+            get_mode("parallaft").make_config(**{name: 0})
+        get_mode("parallaft").make_config().validate()
+
+    def test_make_config_cannot_change_mode(self):
+        with pytest.raises(ConfigError):
+            get_mode("parallaft").make_config(mode="raft")
+
+    def test_custom_mode_config_carries_its_name(self):
+        @register_mode
+        class PresetMode(ParallaftMode):
+            name = "test-preset"
+            preset = {"max_live_segments": 3}
+        try:
+            config = get_mode("test-preset").make_config()
+            assert config.mode == "test-preset"
+            assert config.max_live_segments == 3
+            assert config.detection_mode() is get_mode("test-preset")
+            config.validate()
+        finally:
+            from repro.modes import base
+            base._REGISTRY.pop("test-preset")
+
+    def test_unknown_config_mode_is_typed_error(self):
+        config = ParallaftConfig(mode="trm")
+        with pytest.raises(ConfigError):
+            config.validate()
+
+    def test_mode_validation_hooks(self):
+        raft = get_mode("raft").make_config(enable_recovery=True)
+        with pytest.raises(RuntimeConfigError, match="raft mode"):
+            raft.validate()
+        for knob in ({"compare_state": False},
+                     {"retry_failed_checkers": True}):
+            with pytest.raises(RuntimeConfigError, match="TMR"):
+                get_mode("tmr").make_config(**knob).validate()
+        # The same knobs are fine where the mode allows them.
+        get_mode("parallaft").make_config(
+            retry_failed_checkers=True).validate()
 
     def test_make_config_applies_overrides(self):
         config = get_mode("tmr").make_config(meek_split=0.25,
@@ -183,7 +233,7 @@ class TestRegistry:
             base._REGISTRY.pop("test-eager")
 
     def test_tmr_config_forbids_rollback_recovery(self):
-        config = ParallaftConfig.tmr()
+        config = get_mode("tmr").make_config()
         config.enable_recovery = True
         with pytest.raises(RuntimeConfigError):
             config.validate()
@@ -331,45 +381,81 @@ class TestVoteUnit:
 
 
 class TestMeekSplit:
+    """The split is valid in every mode that compares state, so each
+    test runs under both the parallaft and the tmr mode."""
+
     def test_early_checks_taken_per_replica(self):
-        _, stats = run_mode(tmr_config(meek_split=0.5))
-        assert stats.exit_code == 0
-        # Two replicas per checked segment, each takes one early check.
-        assert stats.meek_early_checks > 0
-        assert stats.meek_early_checks >= stats.segments_checked
+        for mode in MEEK_MODES:
+            _, stats = run_mode(mode_config(mode, meek_split=0.5))
+            assert stats.exit_code == 0
+            # Each replica of a checked segment takes one early check.
+            replicas = get_mode(mode).replica_count
+            assert stats.meek_early_checks > 0
+            assert stats.meek_early_checks \
+                >= replicas * stats.segments_checked
 
     def test_split_zero_means_no_early_checks(self):
-        _, stats = run_mode(tmr_config(meek_split=0.0))
-        assert stats.meek_early_checks == 0
+        for mode in MEEK_MODES:
+            _, stats = run_mode(mode_config(mode, meek_split=0.0))
+            assert stats.meek_early_checks == 0
 
     def test_split_still_detects_checker_fault(self):
         """The combined verdict (early AND boundary) must not lose
         detections however the work is divided."""
         reference = reference_stdout()
         site = FaultSite.register("gpr", 5, 12, target="checker")
-        for split in (0.25, 1.0):
-            config = ParallaftConfig()
-            config.slicing_period = 40_000_000
-            config.meek_split = split
-            runtime, stats = run_mode(config,
-                                      hook=replica_fault_hook(2, site))
-            assert_runtime_ok(runtime)
-            # The flip either perturbed replayed state (detected) or was
-            # masked before any compare; it must never corrupt output.
-            if stats.error_detected:
-                assert stats.errors[0].kind in ("state_mismatch",
-                                                "syscall_divergence")
-            else:
-                assert stats.stdout == reference
+        for mode in MEEK_MODES:
+            for split in (0.25, 1.0):
+                runtime, stats = run_mode(mode_config(mode,
+                                                      meek_split=split),
+                                          hook=replica_fault_hook(2, site))
+                assert_runtime_ok(runtime)
+                # The flip either perturbed replayed state (detected, or
+                # outvoted under TMR) or was masked before any compare;
+                # it must never corrupt output.
+                if stats.error_detected:
+                    assert stats.errors[0].kind in ("state_mismatch",
+                                                    "syscall_divergence")
+                else:
+                    assert stats.stdout == reference
 
     def test_early_mismatch_counts_detection(self):
         site = FaultSite.register("gpr", 5, 12, target="checker")
-        config = ParallaftConfig()
-        config.slicing_period = 40_000_000
-        config.meek_split = 1.0    # the early stage covers everything
-        runtime, stats = run_mode(config, hook=replica_fault_hook(2, site))
-        if stats.error_detected:
-            assert stats.meek_early_detections >= 1
+        for mode in MEEK_MODES:
+            # The early stage covers everything.
+            runtime, stats = run_mode(mode_config(mode, meek_split=1.0),
+                                      hook=replica_fault_hook(2, site))
+            # A state verdict against the checker: an error report, or
+            # under TMR a boundary outvote for diverged state.
+            state_outvotes = [
+                e for e in runtime.trace if e.kind == tev.OUTVOTED
+                and e.payload["cause"] in ("pc", "registers", "memory")]
+            if stats.error_detected or state_outvotes:
+                assert stats.meek_early_detections >= 1
+
+    @pytest.mark.parametrize("mode", MEEK_MODES)
+    def test_fault_free_split_divides_work_without_changing_verdicts(
+            self, mode):
+        """Fault-free, the split moves work between the two stages and
+        nothing else: same output and verdicts, early checks whenever the
+        split is above zero, and the same bytes hashed per boundary."""
+        outcomes = {}
+        for split in (0.0, 0.5, 1.0):
+            runtime, stats = run_mode(mode_config(mode, meek_split=split))
+            assert (stats.meek_early_checks > 0) == (split > 0)
+            hashed = {}
+            for event in runtime.trace:
+                if event.kind == tev.COMPARISON:
+                    hashed[event.segment] = (hashed.get(event.segment, 0)
+                                             + event.payload["bytes_hashed"])
+            assert hashed
+            verdicts = (stats.exit_code, stats.to_dict()["errors"],
+                        stats.segments_checked, stats.tmr_votes,
+                        stats.tmr_outvoted, stats.tmr_forward_recoveries,
+                        stats.meek_early_detections)
+            outcomes[split] = (stats.stdout, verdicts, hashed)
+        assert outcomes[0.5] == outcomes[0.0]
+        assert outcomes[1.0] == outcomes[0.0]
 
     def test_meek_split_validated(self):
         config = ParallaftConfig()
@@ -474,3 +560,22 @@ class TestComparisonOverrideFilter:
                                         injections=1, seed=0,
                                         config_overrides={"meek_split": 0.5})
         assert "raft" in summaries
+
+
+class TestComparisonOverrideValidation:
+    def test_misspelled_override_raises_before_any_run(self, monkeypatch):
+        """Regression: overrides were filtered by ``hasattr`` on each
+        mode's base config, so a misspelled key was silently dropped and
+        the comparison ran without it."""
+        from repro.modes import comparison
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started despite a bad override")
+
+        monkeypatch.setattr(comparison, "_baseline_wall", no_run)
+        monkeypatch.setattr(comparison, "Parallaft", no_run)
+        program = compile_source(synthetic_source(total_iters=8000))
+        with pytest.raises(ConfigError, match="meek_splitt"):
+            comparison.run_mode_comparison(
+                program, modes=("parallaft", "raft", "tmr"), injections=1,
+                config_overrides={"meek_splitt": 0.5})

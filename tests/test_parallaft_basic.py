@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import Parallaft, ParallaftConfig, RuntimeMode, SegmentStatus
+from repro.core import Parallaft, ParallaftConfig, SegmentStatus
 from repro.minic import compile_source
+from repro.modes import get_mode
 from repro.sim import apple_m2, intel_14700
 
 LOOP_PROGRAM = """
@@ -211,7 +212,7 @@ class TestParallaftBasic:
 
 class TestRaftMode:
     def test_raft_completes_and_matches(self):
-        config = ParallaftConfig.raft()
+        config = get_mode("raft").make_config()
         runtime, stats = run_protected(LOOP_PROGRAM, config=config)
         assert stats.exit_code == 0
         assert stats.stdout == LOOP_EXPECTED
@@ -219,13 +220,13 @@ class TestRaftMode:
         assert len(runtime.segments) == 1
 
     def test_raft_checker_on_big_core(self):
-        config = ParallaftConfig.raft()
+        config = get_mode("raft").make_config()
         _, stats = run_protected(LOOP_PROGRAM, config=config)
         assert stats.checker_cycles_big > 0
         assert stats.checker_cycles_little == 0
 
     def test_raft_syscall_comparison_still_works(self):
-        config = ParallaftConfig.raft()
+        config = get_mode("raft").make_config()
         _, stats = run_protected("""
         func main() {
             var i; var x;
@@ -238,7 +239,7 @@ class TestRaftMode:
         assert stats.syscalls_replayed > 0
 
     def test_raft_does_no_state_comparison(self):
-        config = ParallaftConfig.raft()
+        config = get_mode("raft").make_config()
         runtime, stats = run_protected(LOOP_PROGRAM, config=config)
         assert runtime.dirty_tracker.pages_scanned == 0
 

@@ -32,6 +32,7 @@ from repro.metrics import (
     PhaseProfiler,
 )
 from repro.minic import compile_source
+from repro.modes import get_mode
 from repro.sim import apple_m2
 from repro.trace import InvariantChecker, check_runtime
 from repro.trace import events as tev
@@ -165,7 +166,7 @@ def test_property_random_charges_conserve(charges):
 
 class TestRaftMode:
     def test_raft_never_runs_parallaft_phases(self):
-        config = ParallaftConfig.raft()
+        config = get_mode("raft").make_config()
         runtime = Parallaft(compile_source(PRINT_LOOP), config=config,
                             platform=apple_m2())
         stats = runtime.run()

@@ -3,9 +3,10 @@
 import pytest
 
 from repro import abi
-from repro.core import Parallaft, ParallaftConfig, RuntimeMode
+from repro.core import Parallaft
 from repro.kernel.process import ProcessState
 from repro.minic import compile_source
+from repro.modes import get_mode
 from repro.sim import apple_m2
 from repro.workloads import synthetic_source
 
@@ -14,7 +15,7 @@ from helpers import run_minic, stdout_of
 
 def raft_run(source, files=None, seed=0):
     runtime = Parallaft(compile_source(source),
-                        config=ParallaftConfig.raft(),
+                        config=get_mode("raft").make_config(),
                         platform=apple_m2(), files=files, seed=seed)
     stats = runtime.run()
     return runtime, stats
@@ -81,7 +82,7 @@ class TestRaftDetectionGap:
         }
         """
         runtime = Parallaft(compile_source(source),
-                            config=ParallaftConfig.raft(),
+                            config=get_mode("raft").make_config(),
                             platform=apple_m2())
         corrupted = [False]
 
@@ -114,7 +115,7 @@ class TestRaftDetectionGap:
         }
         """
         runtime = Parallaft(compile_source(source),
-                            config=ParallaftConfig.raft(),
+                            config=get_mode("raft").make_config(),
                             platform=apple_m2())
         corrupted = [False]
 

@@ -24,6 +24,7 @@ from repro.faults import (
 )
 from repro.kernel.process import ProcessState
 from repro.minic import compile_source
+from repro.modes import get_mode
 from repro.sim import apple_m2
 
 WORKLOAD = """
@@ -249,7 +250,7 @@ class TestRecoveryConfig:
             config.validate()
 
     def test_recovery_incompatible_with_raft(self):
-        config = ParallaftConfig.raft()
+        config = get_mode("raft").make_config()
         config.enable_recovery = True
         with pytest.raises(RuntimeConfigError):
             config.validate()
