@@ -30,6 +30,8 @@ from repro.trace import events as tev
 #: Cycles charged for migrating a checker between cores (context + cache
 #: warmup is modelled separately by the LLC contention term).
 MIGRATION_COST_CYCLES = 25_000.0
+#: Pacer safety margin over the estimated required little frequency.
+PACER_HEADROOM = 1.2
 
 
 class CheckerScheduler:
@@ -185,7 +187,7 @@ class CheckerScheduler:
         littles = self.executor.little_cores
         if not littles:
             return
-        required = (self.config.pacer_headroom * self._work_ewma
+        required = (PACER_HEADROOM * self._work_ewma
                     / (len(littles) * self._interval_ewma))
         for core in littles:
             core.set_frequency(required)

@@ -79,8 +79,6 @@ class ParallaftConfig:
     #: Checker scheduler/pacer (paper §4.5).
     enable_migration: bool = True
     enable_dvfs_pacer: bool = True
-    #: Pacer safety margin over the estimated required little frequency.
-    pacer_headroom: float = 1.2
     #: Where checkers run by default: 'little' (Parallaft) or 'big' (RAFT).
     checker_cluster: str = "little"
 
@@ -98,7 +96,6 @@ class ParallaftConfig:
     #: fault in the *checker* disappears on retry; a persistent mismatch
     #: implicates the main and is reported as an error.
     retry_failed_checkers: bool = False
-    max_checker_retries: int = 1
 
     #: Table 2 "error recovery", part two: when a failed check persists
     #: across the diagnostic re-check (implicating the *main*), roll the
@@ -164,27 +161,14 @@ class ParallaftConfig:
 
     # -- memory pressure (finite frame pool, ``repro.core.pressure``) ------
     # The real runtime's checkpoints compete for finite RAM (paper §4.3,
-    # Fig. 8); these knobs bound the modelled frame pool and control the
-    # graceful-degradation ladder that keeps the run alive under pressure.
+    # Fig. 8); this knob bounds the modelled frame pool.  The
+    # graceful-degradation ladder's thresholds are constants of
+    # ``repro.core.pressure``.
 
     #: Frame-pool byte budget; None = unbounded (the historical default).
     #: ``REPRO_MEM_BUDGET`` is resolved when a runtime is assembled, not
     #: here, so a bare config object is environment-independent.
     mem_budget_bytes: Optional[int] = None
-    #: Pool utilisation at which stage 1 (main backpressure) engages; the
-    #: stall releases once utilisation falls back below this mark.
-    pressure_low_watermark: float = 0.80
-    #: Utilisation at which the controller escalates (shed checkers, evict
-    #: checkpoints, adapt the slicing period), one action per poll.
-    pressure_high_watermark: float = 0.95
-    #: Adaptive slicing targets one segment's dirty footprint at about
-    #: this fraction of the budget.
-    pressure_segment_budget_fraction: float = 0.10
-    #: Floor on the adapted period, as a fraction of ``slicing_period``.
-    pressure_min_period_scale: float = 1.0 / 16.0
-    #: Times a single segment's checker may be shed and re-queued before
-    #: the controller refuses to sacrifice it again.
-    pressure_max_segment_sheds: int = 3
 
     #: Structured event tracing (``repro.trace``): every lifecycle event
     #: lands in a bounded ring buffer, exportable as Chrome trace_event
@@ -217,8 +201,6 @@ class ParallaftConfig:
         if self.slicing_unit not in (None, "cycles", "instructions"):
             raise RuntimeConfigError("slicing_unit must be cycles or "
                                      "instructions")
-        if self.max_checker_retries < 0:
-            raise RuntimeConfigError("max_checker_retries must be >= 0")
         if self.max_rollbacks < 0:
             raise RuntimeConfigError("max_rollbacks must be >= 0")
         if self.max_segment_reexecutions < 1:
@@ -250,19 +232,6 @@ class ParallaftConfig:
             raise RuntimeConfigError("clean_page_audit must be >= 0")
         if self.mem_budget_bytes is not None and self.mem_budget_bytes <= 0:
             raise RuntimeConfigError("mem_budget_bytes must be positive")
-        if not 0.0 < self.pressure_low_watermark \
-                < self.pressure_high_watermark <= 1.0:
-            raise RuntimeConfigError(
-                "watermarks must satisfy 0 < low < high <= 1")
-        if not 0.0 < self.pressure_segment_budget_fraction <= 1.0:
-            raise RuntimeConfigError(
-                "pressure_segment_budget_fraction must be in (0, 1]")
-        if not 0.0 < self.pressure_min_period_scale <= 1.0:
-            raise RuntimeConfigError(
-                "pressure_min_period_scale must be in (0, 1]")
-        if self.pressure_max_segment_sheds < 0:
-            raise RuntimeConfigError(
-                "pressure_max_segment_sheds must be >= 0")
 
     @property
     def retains_recovery_checkpoint(self) -> bool:

@@ -24,7 +24,7 @@ action never precedes stage N−1 (a checked trace invariant):
    ``checkpoint_evicted`` error instead of rolling back onto freed state.
 4. **adapt** (``pressure_adapt``) — shorten the slicing period from the
    observed dirty-page rate so future segments fit in roughly
-   ``pressure_segment_budget_fraction`` of the budget.  Sticky for the
+   ``SEGMENT_BUDGET_FRACTION`` of the budget.  Sticky for the
    rest of the run (it only ever shrinks).
 
 Escalation actions (2-4) run one per poll above the high watermark; the
@@ -48,6 +48,21 @@ from repro.trace import events as tev
 if TYPE_CHECKING:
     from repro.kernel.process import Process
     from repro.core.runtime import Parallaft
+
+#: Pool utilisation at which stage 1 (main backpressure) engages; the
+#: stall releases once utilisation falls back below this mark.
+LOW_WATERMARK = 0.80
+#: Utilisation at which the controller escalates (shed checkers, evict
+#: checkpoints, adapt the slicing period), one action per poll.
+HIGH_WATERMARK = 0.95
+#: Adaptive slicing targets one segment's dirty footprint at about this
+#: fraction of the budget.
+SEGMENT_BUDGET_FRACTION = 0.10
+#: Floor on the adapted period, as a fraction of ``slicing_period``.
+MIN_PERIOD_SCALE = 1.0 / 16.0
+#: Times a single segment's checker may be shed and re-queued before the
+#: ladder refuses to sacrifice it again.
+MAX_SEGMENT_SHEDS = 3
 
 #: EWMA smoothing for the observed dirty-byte rate.
 _RATE_ALPHA = 0.2
@@ -105,7 +120,7 @@ class PressureController:
         if role == "main":
             self._update_rate(proc)
         util = self._util()
-        if util < self.config.pressure_low_watermark:
+        if util < LOW_WATERMARK:
             if self.stall_engaged:
                 self._release_stall()
             self._wake_blocked()
@@ -115,7 +130,7 @@ class PressureController:
             self._engage_stall()
         else:
             self._apply_stall()
-        if util >= self.config.pressure_high_watermark:
+        if util >= HIGH_WATERMARK:
             self._escalate_once()
             # The throttle inside only readmits a checker when none is
             # runnable (the stall needs one to drain into).
@@ -223,7 +238,7 @@ class PressureController:
             and all(r.process is not current for r in s.replicas)
             and s.recovery_checkpoint is not None
             and not s.checkpoint_evicted
-            and s.sheds < self.config.pressure_max_segment_sheds]
+            and s.sheds < MAX_SEGMENT_SHEDS]
         if not candidates:
             return False
         segment = max(candidates, key=lambda s: s.index)
@@ -278,16 +293,15 @@ class PressureController:
 
     def _adapt(self) -> bool:
         """Stage 4: shrink the slicing period so one segment dirties about
-        ``pressure_segment_budget_fraction`` of the budget."""
+        ``SEGMENT_BUDGET_FRACTION`` of the budget."""
         if self._dirty_rate <= 0.0:
             return False
         base = self.config.slicing_period
         if base == float("inf"):
             return False
-        target_bytes = (self.pool.budget_bytes
-                        * self.config.pressure_segment_budget_fraction)
+        target_bytes = self.pool.budget_bytes * SEGMENT_BUDGET_FRACTION
         period = target_bytes / self._dirty_rate
-        floor = base * self.config.pressure_min_period_scale
+        floor = base * MIN_PERIOD_SCALE
         period = max(floor, min(period, base))
         current = (self._adapted_period if self._adapted_period is not None
                    else base)
@@ -323,7 +337,7 @@ class PressureController:
         if not self._blocked:
             return
         if not force:
-            if self._util() >= self.config.pressure_high_watermark:
+            if self._util() >= HIGH_WATERMARK:
                 return
             # A blocked checker needs at least one whole page: waking it
             # into fractional headroom just re-faults the same store at
@@ -359,7 +373,7 @@ class PressureController:
                 self._parked.pop(0)  # rolled back / discarded meanwhile
                 continue
             allowed = (force
-                       or self._util() < self.config.pressure_high_watermark
+                       or self._util() < HIGH_WATERMARK
                        or not self._any_checker_runnable())
             if not allowed:
                 break
@@ -412,7 +426,7 @@ class PressureController:
         if self.pool.budget_bytes is None:
             return
         if (self.stall_engaged
-                and self._util() < self.config.pressure_low_watermark):
+                and self._util() < LOW_WATERMARK):
             self._release_stall()
         self._wake_blocked()
         self._respawn_parked()

@@ -43,7 +43,7 @@ from repro.core.config import (
     ParallaftConfig,
 )
 from repro.core.dirty_tracker import DirtyPageTracker
-from repro.core.pressure import PressureController
+from repro.core.pressure import MAX_SEGMENT_SHEDS, PressureController
 from repro.core.exec_point import (
     ExecPoint,
     ExecPointReplayer,
@@ -72,6 +72,10 @@ from repro.sim.executor import Executor, core_label
 from repro.sim.platform import PlatformConfig, apple_m2
 from repro.trace import TraceBuffer
 from repro.trace import events as tev
+
+#: Fresh-checker re-checks of one failed segment (``retry_failed_checkers``
+#: / recovery) before the failure implicates the main.
+MAX_CHECKER_RETRIES = 1
 
 
 class Parallaft(Tracer):
@@ -587,7 +591,7 @@ class Parallaft(Tracer):
         if (recoverable and segment is not None
                 and (self.config.retry_failed_checkers
                      or self.config.enable_recovery)
-                and segment.retries < self.config.max_checker_retries
+                and segment.retries < MAX_CHECKER_RETRIES
                 and segment.recovery_checkpoint is not None
                 and segment.end_point is not None):
             # First line of defense — and, with recovery on, the diagnosis
@@ -1181,7 +1185,7 @@ class Parallaft(Tracer):
             return False
         if (segment.recovery_checkpoint is not None
                 and not segment.checkpoint_evicted
-                and segment.sheds < self.config.pressure_max_segment_sheds):
+                and segment.sheds < MAX_SEGMENT_SHEDS):
             # Shed the whole replica set: the respawn path rebuilds every
             # replica from the retained checkpoint, so keeping a sibling
             # of the OOMing checker alive would only double it up later.

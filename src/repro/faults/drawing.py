@@ -1,14 +1,13 @@
-"""Shared draw-and-retry loop for injection campaigns.
+"""The draw-and-retry loop of one planned injection.
 
-Both campaign families — application faults
-(:meth:`repro.faults.FaultInjector.run_campaign`) and infrastructure
-faults (:meth:`repro.faults.InfraInjector.run_campaign`) — plan a fixed
-number of injections and, for each one, repeatedly draw a fresh site
-until an injection actually *lands* (the target may finish before the
-strike point, have no dirty page yet, etc.).  The paper discards these
-misses; we cap the re-draws and count the exhausted ones on
-``CampaignResult.missed`` so a campaign always sums to what it planned.
-This module is that loop, written once.
+Every injection campaign plans a fixed number of injections and, for each
+one, repeatedly draws a fresh site until an injection actually *lands*
+(the target may finish before the strike point, have no dirty page yet,
+etc.).  The paper discards these misses; we cap the re-draws and count
+the exhausted ones on ``CampaignResult.missed`` so a campaign always sums
+to what it planned.  Its one caller is the shared engine hookup,
+:meth:`repro.faults.injector.InjectionTarget.run_on_engine`, which both
+the application and the infrastructure campaigns run through.
 """
 
 from __future__ import annotations

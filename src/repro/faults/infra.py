@@ -26,7 +26,10 @@ single points of failure the paper's argument quietly trusts:
   (differing pages digest equal) for the segment where an application
   memory fault landed, so the one comparison that mattered lies.
 
-Outcomes are classified exactly like application faults
+Injections run through the application campaign's pipeline
+(:mod:`repro.faults.injector`: the same runtimes, reference run,
+progress trigger, bit flip and engine hookup) and are classified exactly
+like application faults
 (:func:`repro.faults.outcomes.classify_run`); the headline metric is the
 :attr:`~repro.faults.outcomes.Outcome.SDC` fraction — runs whose final
 output silently diverged from the fault-free reference.  :func:`harden`
@@ -41,13 +44,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.campaign import CampaignEngine, CampaignTask, DISP_COMPLETED, \
-    task_rng
-from repro.common.rng import RngPool
 from repro.core import Parallaft, ParallaftConfig
 from repro.core.segment import Segment, SegmentStatus
-from repro.faults.drawing import draw_until_fired
-from repro.faults.outcomes import CampaignResult, InjectionResult, classify_run
+from repro.faults.injector import InjectionTarget, main_trigger, \
+    injection_result
+from repro.faults.outcomes import CampaignResult, InjectionResult
 from repro.faults.sites import FaultSite
 from repro.isa import DATA_BASE, STACK_SIZE, STACK_TOP
 from repro.isa.program import Program
@@ -135,38 +136,48 @@ class InfraFaultController:
     needs only the record strike; the other kinds pair an infrastructure
     strike with an application fault and require both (a lost dirty bit
     on a page nobody corrupted, or a rotten checkpoint nobody promotes,
-    is unmeasurable — the classic fault-injection "miss").
+    is unmeasurable — the classic fault-injection "miss").  The
+    application half strikes through the shared
+    :func:`~repro.faults.injector.main_trigger` once the main's progress
+    through the target segment reaches ``app_threshold`` (``site.when``
+    × the profiled segment length).
     """
 
     def __init__(self, runtime: Parallaft, site: InfraFaultSite,
                  app_threshold: Optional[float] = None):
         self.runtime = runtime
         self.site = site
-        #: Instruction progress through the target segment at which the
-        #: paired application fault strikes (``site.when`` × the profiled
-        #: segment length).
-        self.app_threshold = app_threshold
         self.infra_fired = False
-        self.app_fired = False
         self._log_missed = False
-        runtime.quantum_hooks.append(self._on_quantum)
-        if site.kind == INFRA_DIGEST_CORRUPT:
+        #: The bit flip of every page-level strike.
+        self._page = FaultSite.memory(site.page_rank, site.bit)
+        kind = site.kind
+        #: The paired application fault (log-corrupt has none).
+        self._app = main_trigger(
+            runtime, app_threshold,
+            {INFRA_DIRTY_MISS: self._strike_dirty_miss,
+             INFRA_CHECKPOINT_CORRUPT: self._strike_register,
+             INFRA_DIGEST_CORRUPT: self._strike_data_page}.get(kind),
+            site.segment_index)
+        if kind == INFRA_LOG_CORRUPT:
+            runtime.quantum_hooks.append(self._strike_log)
+        elif kind == INFRA_CHECKPOINT_CORRUPT:
+            # The checkpoint rots first; the main is faulted only after.
+            runtime.quantum_hooks.append(self._strike_checkpoint)
+        else:
+            runtime.quantum_hooks.append(self._app)
+        if kind == INFRA_DIGEST_CORRUPT:
             runtime.compare_hooks.append(self._on_compare)
+
+    @property
+    def app_fired(self) -> bool:
+        return self._app.fired
 
     @property
     def fired(self) -> bool:
         if self.site.kind == INFRA_LOG_CORRUPT:
             return self.infra_fired
         return self.infra_fired and self.app_fired
-
-    # -- helpers -----------------------------------------------------------
-
-    def _segment_progress(self, proc) -> float:
-        segment = self.runtime.current
-        if segment is None or segment.index != self.site.segment_index:
-            return -1.0
-        return (self.runtime._instr_reading(proc)
-                - segment.start_instructions)
 
     def _data_vpns(self, vpns) -> List[int]:
         """Restrict to the program's data region: globals the workload
@@ -176,45 +187,37 @@ class InfraFaultController:
         hi = (STACK_TOP - STACK_SIZE) // page_size
         return sorted(v for v in vpns if lo <= v < hi)
 
-    def _flip_page_bit(self, proc, vpn: int) -> None:
-        page_size = proc.mem.page_size
-        offset = (self.site.bit // 8) % page_size
-        address = vpn * page_size + offset
-        value = proc.mem.load_byte(address)
-        proc.mem.store_byte(address, value ^ (1 << (self.site.bit % 8)))
+    # -- strikes -----------------------------------------------------------
 
-    # -- quantum hook ------------------------------------------------------
-
-    def _on_quantum(self, proc, role: str) -> None:
-        kind = self.site.kind
-        if kind == INFRA_DIRTY_MISS:
-            self._strike_dirty_miss(proc, role)
-        elif kind == INFRA_LOG_CORRUPT:
-            self._strike_log(proc, role)
-        elif kind == INFRA_CHECKPOINT_CORRUPT:
-            self._strike_checkpoint(proc, role)
-        elif kind == INFRA_DIGEST_CORRUPT:
-            self._strike_digest_app(proc, role)
-
-    def _strike_dirty_miss(self, proc, role: str) -> None:
+    def _strike_dirty_miss(self, proc) -> bool:
         """Flip a bit in a dirty data page of the main AND drop that vpn
         from every tracker scan (stuck-bit model: never re-reported).
         The tracker is shared by the main's finalize scan and the
         checker's replay scan, so the page leaves the comparison union
         entirely — the flip is compared by nobody."""
-        if self.infra_fired or role != "main":
-            return
-        if self._segment_progress(proc) < self.app_threshold:
-            return
         tracker = self.runtime.dirty_tracker
-        dirty = self._data_vpns(tracker.dirty_vpns(proc))
-        if not dirty:
-            return
-        vpn = dirty[self.site.page_rank % len(dirty)]
-        self._flip_page_bit(proc, vpn)
+        vpn = self._page.page_of(self._data_vpns(tracker.dirty_vpns(proc)))
+        if vpn is None:
+            return False
+        self._page.apply(proc, [vpn])
         tracker.suppressed_vpns.add(vpn)
         self.infra_fired = True
-        self.app_fired = True
+        return True
+
+    def _strike_data_page(self, proc) -> bool:
+        """The application half of the digest-fault model: flip a bit in
+        a dirty data page of the main.  The memory stage is the only one
+        the collision covers, so the fault must live in a compared page
+        (a register flip would be caught by the register stage)."""
+        return self._page.apply(proc, self._data_vpns(
+            self.runtime.dirty_tracker.dirty_vpns(proc)))
+
+    def _strike_register(self, proc) -> bool:
+        """The application half of the checkpoint-corrupt model: a
+        register flip in the main that makes recovery use the rotten
+        checkpoint."""
+        return FaultSite.register("gpr", 8, self.site.app_bit,
+                                  target="main").apply(proc)
 
     def _strike_log(self, proc, role: str) -> None:
         """Flip a bit in a stored record of the target segment's R/R log
@@ -279,40 +282,15 @@ class InfraFaultController:
         runtime = self.runtime
         if (not self.infra_fired
                 and self.site.segment_index < len(runtime.segments)):
-            segment = runtime.segments[self.site.segment_index]
-            checkpoint = segment.recovery_checkpoint
+            checkpoint = runtime.segments[
+                self.site.segment_index].recovery_checkpoint
             if checkpoint is not None and checkpoint.alive:
-                mapped = self._data_vpns(checkpoint.mem.pages)
-                if mapped:
-                    vpn = mapped[self.site.page_rank % len(mapped)]
-                    # store_byte COW-resolves privately: only the paused
-                    # checkpoint copy rots, never the main's frame.
-                    self._flip_page_bit(checkpoint, vpn)
-                    self.infra_fired = True
-        if self.app_fired or not self.infra_fired or role != "main":
-            return
-        if self._segment_progress(proc) < self.app_threshold:
-            return
-        FaultSite.register("gpr", 8, self.site.app_bit,
-                           target="main").apply(proc)
-        self.app_fired = True
-
-    def _strike_digest_app(self, proc, role: str) -> None:
-        """The application half of the digest-fault model: flip a bit in
-        a dirty data page of the main.  The memory stage is the only one
-        the collision covers, so the fault must live in a compared page
-        (a register flip would be caught by the register stage)."""
-        if self.app_fired or role != "main":
-            return
-        if self._segment_progress(proc) < self.app_threshold:
-            return
-        tracker = self.runtime.dirty_tracker
-        dirty = self._data_vpns(tracker.dirty_vpns(proc))
-        if not dirty:
-            return
-        vpn = dirty[self.site.page_rank % len(dirty)]
-        self._flip_page_bit(proc, vpn)
-        self.app_fired = True
+                # store_byte COW-resolves privately: only the paused
+                # checkpoint copy rots, never the main's frame.
+                self.infra_fired = self._page.apply(
+                    checkpoint, self._data_vpns(checkpoint.mem.pages))
+        if self.infra_fired:
+            self._app(proc, role)
 
     # -- compare hook (digest-corrupt only) --------------------------------
 
@@ -326,14 +304,15 @@ class InfraFaultController:
         self.infra_fired = True
 
 
-class InfraInjector:
+class InfraInjector(InjectionTarget):
     """Runs infrastructure fault campaigns against one program/config.
 
-    Mirrors :class:`repro.faults.FaultInjector`'s methodology: a
-    fault-free profile run per arm (hardening changes cycle charges, so
+    The application campaign's pipeline (:class:`InjectionTarget`): a
+    fault-free reference run per arm (hardening changes cycle charges, so
     segment boundaries — and the reference output's timing — are
     arm-specific), then one full run per injection, classified against
-    the profile's stdout/stderr.
+    the reference's stdout/stderr.  The hardened arm runs
+    ``harden(config_factory())``.
     """
 
     def __init__(self, program: Program,
@@ -342,83 +321,48 @@ class InfraInjector:
                  files: Optional[Dict[str, bytes]] = None,
                  seed: int = 0, quantum: int = 2000,
                  hardening: bool = False):
-        self.program = program
-        self.config_factory = config_factory
-        self.platform_factory = platform_factory
-        self.files = files or {}
-        self.seed = seed
-        self.quantum = quantum
+        super().__init__(
+            program,
+            (lambda: harden(config_factory())) if hardening
+            else config_factory,
+            platform_factory, files=files, seed=seed, quantum=quantum)
         self.hardening = hardening
-        self.rng = RngPool(seed).stream("infra-campaign")
-        self._profile_main_instructions: Optional[List[int]] = None
-        self._profile_stdout: Optional[str] = None
-        self._profile_stderr: Optional[str] = None
-
-    def _make_config(self) -> ParallaftConfig:
-        config = self.config_factory()
-        if self.hardening:
-            harden(config)
-        return config
-
-    def _fresh_runtime(self) -> Parallaft:
-        return Parallaft(self.program, config=self._make_config(),
-                         platform=self.platform_factory(), files=self.files,
-                         seed=self.seed, quantum=self.quantum)
 
     def profile(self) -> Tuple[List[int], str]:
-        """Fault-free run: per-segment instruction counts + reference
-        output, for this arm's config (hardened or not)."""
-        runtime = self._fresh_runtime()
-        stats = runtime.run()
-        if stats.error_detected:
-            raise RuntimeError(f"profile run detected errors: "
-                               f"{stats.errors}")
-        self._profile_main_instructions = [
-            segment.main_instructions for segment in runtime.segments]
-        self._profile_stdout = stats.stdout
-        self._profile_stderr = stats.stderr
-        return self._profile_main_instructions, stats.stdout
+        """Per-segment main instruction counts and the reference stdout,
+        for this arm's config (hardened or not)."""
+        reference = self.reference()
+        return reference.main_instructions, reference.stdout
 
     # -- single injection --------------------------------------------------
 
     def inject_site(self, site: InfraFaultSite) -> Optional[InjectionResult]:
         """Run the program once with ``site`` applied; None on a miss."""
-        if self._profile_main_instructions is None:
-            self.profile()
-        instr = self._profile_main_instructions
+        reference = self.reference()
+        instr = reference.main_instructions
         if site.segment_index >= len(instr) \
                 or instr[site.segment_index] <= 0:
             return None
-        runtime = self._fresh_runtime()
+        runtime = self.runtime()
         controller = InfraFaultController(
             runtime, site,
             app_threshold=site.when * instr[site.segment_index])
         stats = runtime.run()
         if not controller.fired:
             return None
-        outcome = classify_run(stats, self._profile_stdout,
-                               self._profile_stderr)
-        rank = (site.record_rank if site.kind == INFRA_LOG_CORRUPT
-                else site.page_rank)
-        return InjectionResult(
-            outcome=outcome,
+        return injection_result(
+            stats, reference.stdout, reference.stderr,
             register_file="infra",
-            register_index=rank,
-            bit=site.bit,
-            segment_index=site.segment_index,
-            inject_time=site.when,
-            detail=stats.errors[0].detail if stats.errors else "",
-            target="infra",
-            site_kind=site.kind,
-            rolled_back=stats.recovery_rollbacks > 0,
-            output_matched=(stats.stdout == self._profile_stdout
-                            and stats.stderr == self._profile_stderr))
+            register_index=(site.record_rank
+                            if site.kind == INFRA_LOG_CORRUPT
+                            else site.page_rank),
+            bit=site.bit, segment_index=site.segment_index,
+            inject_time=site.when, target="infra", site_kind=site.kind)
 
     # -- campaign ----------------------------------------------------------
 
-    def _draw_site(self, kind: str, eligible: List[int],
-                   rng=None) -> InfraFaultSite:
-        rng = rng if rng is not None else self.rng
+    @staticmethod
+    def _draw_site(kind: str, eligible: List[int], rng) -> InfraFaultSite:
         return InfraFaultSite(
             kind=kind,
             segment_index=rng.choice(eligible),
@@ -452,9 +396,7 @@ class InfraInjector:
         and the engine's fleet accounting is attached to every per-kind
         result as ``campaign.fleet``.
         """
-        if self._profile_main_instructions is None:
-            self.profile()
-        instr = self._profile_main_instructions
+        instr = self.reference().main_instructions
         eligible = [i for i, n in enumerate(instr) if n > 0]
         if len(eligible) > 1:
             # The final segment ends at exit: faults there have no later
@@ -463,44 +405,22 @@ class InfraInjector:
         payloads = [{"kind": kind, "shot": shot}
                     for kind in kinds
                     for shot in range(injections_per_kind)]
-
-        def run_task(task: CampaignTask) -> Dict:
-            rng = task_rng(task.seed)
-            kind = task.payload["kind"]
-            result = draw_until_fired(
-                lambda: self._draw_site(kind, eligible, rng=rng),
-                self.inject_site, max_attempts_per_injection)
-            if result is None:
-                return {"kind": kind, "missed": True}
-            return {"kind": kind, "injection": result.to_dict()}
-
-        engine = CampaignEngine(
-            run_task, payloads,
-            campaign_seed=(campaign_seed if campaign_seed is not None
-                           else self.seed),
+        results: Dict[str, CampaignResult] = {
+            kind: CampaignResult(benchmark=benchmark_name)
+            for kind in kinds}
+        fleet = self.run_on_engine(
+            lambda payload, rng: self._draw_site(payload["kind"], eligible,
+                                                 rng),
+            lambda payload, site: self.inject_site(site),
+            payloads, lambda payload: results[payload["kind"]],
+            max_attempts=max_attempts_per_injection,
+            campaign_seed=campaign_seed, engine_options=engine_options,
             shards=shards, workers=workers,
             name=f"infra:{benchmark_name}",
             fingerprint_extra={"kinds": list(kinds),
                                "injections_per_kind": injections_per_kind,
                                "hardening": self.hardening},
-            journal_path=journal_path, resume=resume,
-            registry=registry,
-            **(engine_options or {}))
-        fleet = engine.run()
-
-        results: Dict[str, CampaignResult] = {
-            kind: CampaignResult(benchmark=benchmark_name)
-            for kind in kinds}
-        by_id = {t.task_id: t for t in engine.tasks}
-        for record in fleet.records:
-            kind = by_id[record.task_id].payload["kind"]
-            campaign = results[kind]
-            if record.disposition != DISP_COMPLETED \
-                    or record.result.get("missed"):
-                campaign.missed += 1
-                continue
-            campaign.injections.append(
-                InjectionResult.from_dict(record.result["injection"]))
+            journal_path=journal_path, resume=resume, registry=registry)
         for campaign in results.values():
             campaign.fleet = fleet
         return results

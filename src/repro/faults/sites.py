@@ -22,7 +22,7 @@ retries at the next quantum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 from repro.isa.registers import RegisterSite
 
@@ -65,13 +65,6 @@ class FaultSite:
         return cls(target=target, kind=KIND_MEMORY, page_rank=page_rank,
                    bit=bit)
 
-    @classmethod
-    def from_legacy(cls, site: Tuple[str, int, int],
-                    target: str = TARGET_CHECKER) -> "FaultSite":
-        """Adapt the historical ``(file, index, bit)`` tuple form."""
-        file, index, bit = site
-        return cls.register(file, index, bit, target=target)
-
     # -- application -------------------------------------------------------
 
     def apply(self, proc, dirty_vpns: Optional[Iterable[int]] = None) -> bool:
@@ -81,16 +74,21 @@ class FaultSite:
             proc.cpu.regs.flip_bit(self.register_file, self.register_index,
                                    self.bit)
             return True
-        vpns = sorted(dirty_vpns or [])
-        if not vpns:
+        vpn = self.page_of(dirty_vpns)
+        if vpn is None:
             return False
-        vpn = vpns[self.page_rank % len(vpns)]
         page_size = proc.mem.page_size
         offset = (self.bit // 8) % page_size
         address = vpn * page_size + offset
         value = proc.mem.load_byte(address)
         proc.mem.store_byte(address, value ^ (1 << (self.bit % 8)))
         return True
+
+    def page_of(self, vpns: Optional[Iterable[int]]) -> Optional[int]:
+        """The page a memory site hits among ``vpns``: ``page_rank``
+        into their sorted order; None when there are none."""
+        vpns = sorted(vpns or [])
+        return vpns[self.page_rank % len(vpns)] if vpns else None
 
     def describe(self) -> str:
         if self.kind == KIND_REGISTER:

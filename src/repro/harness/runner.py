@@ -290,6 +290,14 @@ def _run_campaign_cli(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    import argparse
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI: ``python -m repro.harness.runner --bench mcf --mem-sample``.
 
@@ -358,8 +366,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                                "completed injections")
     campaign.add_argument("--injections", type=int, default=3, metavar="N",
                           help="injections per segment (default 3)")
-    campaign.add_argument("--max-segments", type=int, default=None,
-                          metavar="N",
+    campaign.add_argument("--max-segments", type=_positive_int,
+                          default=None, metavar="N",
                           help="sample at most N segments instead of "
                                "injecting into every one")
     campaign.add_argument("--report-out", default=None, metavar="PATH",

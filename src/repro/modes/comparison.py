@@ -10,14 +10,18 @@ anything phrased per-segment would not transfer; instruction progress of
 the protected process does.
 
 Per mode the campaign runs one fault-free reference (wall time, stdout /
-stderr oracle) plus one run per injection, recording:
+stderr oracle) plus one run per injection, through the shared
+injected-run pipeline of :mod:`repro.faults.injector`
+(:class:`~repro.faults.injector.InjectionTarget` for runtimes and the
+reference, :func:`~repro.faults.injector.main_trigger` counting from
+program start for the strike), recording:
 
 * **outcome** — :func:`repro.faults.outcomes.classify_run` against the
   mode's own fault-free output;
 * **detection latency** — virtual seconds from the bit flip to the first
   detection action (``error``, ``outvoted``, ``forward_recovery`` or
-  ``rollback`` event), the window during which corrupt state existed
-  undetected;
+  ``rollback`` event in the trace, which must therefore stay enabled),
+  the window during which corrupt state existed undetected;
 * **recovery behaviour** — rollbacks and forward recoveries, so the
   table shows *how* each mode survived, not just whether.
 
@@ -26,11 +30,14 @@ stderr oracle) plus one run per injection, recording:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.common.errors import ConfigError
 from repro.common.rng import RngPool
 from repro.core import Parallaft
+from repro.faults.injector import InjectionTarget, main_trigger, site_strike
 from repro.faults.outcomes import Outcome, classify_run
 from repro.faults.sites import FaultSite, TARGET_MAIN
 from repro.isa.registers import all_fault_sites
@@ -189,10 +196,14 @@ def run_mode_comparison(program, modes: Sequence[str] = ("parallaft",
     ``config_overrides`` (e.g. ``{"meek_split": 0.5}``) is applied to
     every mode's config through ``make_config``, so a key that is not a
     config field raises :class:`~repro.common.errors.ConfigError` before
-    anything runs.  ``meek_split`` is dropped for modes that never
-    compare state (RAFT): it would have nothing to split.  Returns
-    ``{mode: ModeRunSummary}`` in the order requested.
+    anything runs — as does turning ``enable_trace`` off, since detection
+    latency is read from the event trace.  ``meek_split`` is dropped for
+    modes that never compare state (RAFT): it would have nothing to
+    split.  Returns ``{mode: ModeRunSummary}`` in the order requested.
     """
+    if not (config_overrides or {}).get("enable_trace", True):
+        raise ConfigError("run_mode_comparison reads detection latency "
+                          "from the event trace; enable_trace must stay on")
     overrides_of = {}
     for mode_name in modes:
         detection = get_mode(mode_name)  # typed error for unknown names
@@ -208,58 +219,44 @@ def run_mode_comparison(program, modes: Sequence[str] = ("parallaft",
     summaries: Dict[str, ModeRunSummary] = {}
 
     for mode_name in modes:
-        detection = get_mode(mode_name)
-        overrides = overrides_of[mode_name]
-
-        def fresh_runtime():
-            return Parallaft(program,
-                             config=detection.make_config(**overrides),
-                             platform=platform_factory(), files=files,
-                             seed=seed, quantum=quantum)
-
+        # Built through this module's ``Parallaft`` name, which callers
+        # swap to capture or stub every run.
+        target = InjectionTarget(
+            program, functools.partial(get_mode(mode_name).make_config,
+                                       **overrides_of[mode_name]),
+            platform_factory, files=files, seed=seed, quantum=quantum,
+            runtime_class=Parallaft)
         # Fault-free reference: this mode's own oracle and wall time.
-        reference = fresh_runtime()
-        ref_stats = reference.run()
-        if ref_stats.error_detected or ref_stats.exit_code != 0:
-            raise RuntimeError(
-                f"{mode_name} fault-free reference failed: "
-                f"{ref_stats.errors} exit={ref_stats.exit_code}")
-        total_instructions = sum(s.main_instructions
-                                 for s in reference.segments)
+        reference = target.reference()
+        if reference.exit_code != 0:
+            raise RuntimeError(f"{mode_name} fault-free reference exited "
+                               f"{reference.exit_code}")
+        total_instructions = sum(reference.main_instructions)
         summary = ModeRunSummary(mode=mode_name,
-                                 wall_time=ref_stats.all_wall_time,
+                                 wall_time=reference.wall_time,
                                  baseline_wall_time=baseline)
 
         for fault in plan:
-            runtime = fresh_runtime()
-            threshold = fault.fraction * total_instructions
-            fired = [None]  # virtual timestamp of the flip
-
-            def hook(proc, role, fault=fault, runtime=runtime,
-                     threshold=threshold, fired=fired):
-                if fired[0] is not None or role != "main":
-                    return
-                if runtime._instr_reading(proc) >= threshold:
-                    if fault.site.apply(
-                            proc, runtime.dirty_tracker.dirty_vpns(proc)):
-                        fired[0] = runtime.executor.current_time
-
-            runtime.quantum_hooks.append(hook)
+            runtime = target.runtime()
+            trigger = main_trigger(runtime,
+                                   fault.fraction * total_instructions,
+                                   site_strike(runtime, fault.site))
+            runtime.quantum_hooks.append(trigger)
             stats = runtime.run()
             record = ModeInjectionRecord(
                 fault_index=fault.index,
                 outcome=Outcome.BENIGN,
-                fired=fired[0] is not None,
+                fired=trigger.fired,
                 rollbacks=stats.recovery_rollbacks,
                 forward_recoveries=stats.tmr_forward_recoveries,
                 outvoted=stats.tmr_outvoted,
                 error_kind=stats.errors[0].kind if stats.errors else "")
             if record.fired:
-                record.outcome = classify_run(stats, ref_stats.stdout,
-                                              ref_stats.stderr)
-                detected_ts = _first_detection_ts(runtime, fired[0])
+                record.outcome = classify_run(stats, reference.stdout,
+                                              reference.stderr)
+                detected_ts = _first_detection_ts(runtime, trigger.fired_at)
                 if detected_ts is not None:
-                    record.detection_latency = detected_ts - fired[0]
+                    record.detection_latency = detected_ts - trigger.fired_at
             summary.records.append(record)
         summaries[mode_name] = summary
     return summaries

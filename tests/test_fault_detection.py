@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Parallaft, ParallaftConfig
-from repro.faults import FaultInjector, Outcome
+from repro.faults import FaultInjector, FaultSite, Outcome
 from repro.minic import compile_source
 from repro.sim import apple_m2
 
@@ -211,8 +211,8 @@ class TestInjectorCampaign:
                 slicing_period=10**14),
             platform_factory=apple_m2, seed=2)
         times, reference = injector.profile()
-        result = injector.inject_once(0, times[0] * 0.5, ("gpr", 7, 5),
-                                      reference)
+        result = injector.inject_site(
+            0, times[0] * 0.5, FaultSite.register("gpr", 7, 5), reference)
         assert result is not None
 
     def test_missed_injection_returns_none(self):
@@ -221,6 +221,6 @@ class TestInjectorCampaign:
             config_factory=lambda: ParallaftConfig(slicing_period=10**14),
             platform_factory=apple_m2)
         times, reference = injector.profile()
-        result = injector.inject_once(0, times[0] * 50.0, ("gpr", 1, 1),
-                                      reference)
+        result = injector.inject_site(
+            0, times[0] * 50.0, FaultSite.register("gpr", 1, 1), reference)
         assert result is None

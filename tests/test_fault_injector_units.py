@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import ParallaftConfig
-from repro.faults import CampaignResult, FaultInjector, Outcome
+from repro.faults import (CampaignResult, FaultInjector, FaultSite,
+                          Outcome, classify_run)
 from repro.faults.outcomes import ERROR_KIND_TO_OUTCOME, InjectionResult
 from repro.minic import compile_source
 from repro.sim import apple_m2
@@ -93,7 +94,7 @@ class TestClassifier:
     def test_silent_output_corruption_is_sdc(self):
         # No error reported, but the output is wrong: the corruption
         # escaped silently.  This must never count as a detection.
-        outcome = FaultInjector._classify(self._stats("corrupt"), "good")
+        outcome = classify_run(self._stats("corrupt"), "good")
         assert outcome is Outcome.SDC
         assert not outcome.is_detected
         assert not outcome.is_survived
@@ -101,7 +102,7 @@ class TestClassifier:
     def test_silent_stderr_corruption_is_sdc(self):
         stats = self._stats("good")
         stats.stderr = "oops"
-        outcome = FaultInjector._classify(stats, "good", "")
+        outcome = classify_run(stats, "good", "")
         assert outcome is Outcome.SDC
 
     def test_sdc_fraction(self):
@@ -114,17 +115,17 @@ class TestClassifier:
         assert campaign.detected_fraction == pytest.approx(0.25)
 
     def test_rollback_with_matching_output_is_recovered(self):
-        outcome = FaultInjector._classify(
+        outcome = classify_run(
             self._stats("good", rollbacks=1), "good")
         assert outcome is Outcome.RECOVERED
 
     def test_checker_retry_with_matching_output_is_recovered(self):
-        outcome = FaultInjector._classify(
+        outcome = classify_run(
             self._stats("good", retries=1), "good")
         assert outcome is Outcome.RECOVERED
 
     def test_clean_run_is_benign(self):
-        outcome = FaultInjector._classify(self._stats("good"), "good")
+        outcome = classify_run(self._stats("good"), "good")
         assert outcome is Outcome.BENIGN
 
 
@@ -138,8 +139,8 @@ class TestInjectorMechanics:
     def test_injection_into_live_register_detected(self):
         injector = make_injector()
         times, reference = injector.profile()
-        result = injector.inject_once(0, times[0] * 0.3, ("gpr", 8, 5),
-                                      reference)
+        result = injector.inject_site(
+            0, times[0] * 0.3, FaultSite.register("gpr", 8, 5), reference)
         assert result is not None
         assert result.outcome.is_detected
 
@@ -148,22 +149,38 @@ class TestInjectorMechanics:
         bit-exact over the whole architectural state."""
         injector = make_injector()
         times, reference = injector.profile()
-        result = injector.inject_once(0, times[0] * 0.3, ("vec", 3, 200),
-                                      reference)
+        result = injector.inject_site(
+            0, times[0] * 0.3, FaultSite.register("vec", 3, 200), reference)
         assert result is not None
         assert result.outcome == Outcome.DETECTED
 
     def test_late_injection_misses(self):
         injector = make_injector()
         times, reference = injector.profile()
-        assert injector.inject_once(0, times[0] * 100, ("gpr", 1, 1),
-                                    reference) is None
+        assert injector.inject_site(
+            0, times[0] * 100,
+            FaultSite.register("gpr", 1, 1), reference) is None
 
     def test_out_of_range_segment_misses(self):
         injector = make_injector()
         times, reference = injector.profile()
-        assert injector.inject_once(99, 0.0, ("gpr", 1, 1),
-                                    reference) is None
+        assert injector.inject_site(
+            99, 0.0, FaultSite.register("gpr", 1, 1), reference) is None
+
+    @pytest.mark.parametrize("max_segments", [0, -1])
+    def test_max_segments_below_one_rejected(self, max_segments):
+        """Regression: 0 divided by zero computing the sampling stride,
+        and a negative value silently planned no injection at all."""
+        with pytest.raises(ValueError, match="max_segments"):
+            make_injector().run_campaign(max_segments=max_segments)
+
+    def test_max_segments_cli_flag_rejects_zero(self, capsys):
+        from repro.harness.runner import main
+        with pytest.raises(SystemExit) as exc:
+            main(["--bench", "libquantum", "--campaign",
+                  "--max-segments", "0"])
+        assert exc.value.code == 2
+        assert "--max-segments" in capsys.readouterr().err
 
     def test_max_segments_sampling(self):
         injector = make_injector(period=150_000_000, seed=2)

@@ -579,3 +579,50 @@ class TestComparisonOverrideValidation:
             comparison.run_mode_comparison(
                 program, modes=("parallaft", "raft", "tmr"), injections=1,
                 config_overrides={"meek_splitt": 0.5})
+
+    def test_trace_off_override_raises_before_any_run(self, monkeypatch):
+        """Regression: detection latency is read from the event trace, so
+        with ``enable_trace`` off every detected fault reported no
+        latency — the table's "never happened" mark."""
+        from repro.modes import comparison
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started despite a bad override")
+
+        monkeypatch.setattr(comparison, "_baseline_wall", no_run)
+        monkeypatch.setattr(comparison, "Parallaft", no_run)
+        program = compile_source(synthetic_source(total_iters=8000))
+        with pytest.raises(ConfigError, match="enable_trace"):
+            comparison.run_mode_comparison(
+                program, modes=("parallaft",), injections=1,
+                config_overrides={"enable_trace": False})
+
+
+class TestDriversAgree:
+    def test_comparison_and_injector_agree_on_the_same_fault(self):
+        """One segment makes a fraction of the main's total progress the
+        same point as that fraction of segment 0, so the cross-mode
+        comparison and the application injector must strike — and
+        classify — every planned fault identically."""
+        from repro.faults import FaultInjector
+        from repro.modes.comparison import plan_faults, run_mode_comparison
+        program = compile_source(synthetic_source(total_iters=12000,
+                                                  seed=0))
+        one_segment = {"slicing_period": float("inf")}
+        summary = run_mode_comparison(
+            program, modes=("parallaft",), injections=4, seed=3,
+            config_overrides=one_segment)["parallaft"]
+        injector = FaultInjector(
+            program,
+            lambda: get_mode("parallaft").make_config(**one_segment),
+            apple_m2, seed=3)
+        _, reference = injector.profile()
+        results = [injector.inject_site(0, fault.fraction, fault.site,
+                                        reference)
+                   for fault in plan_faults(4, seed=3)]
+        assert [r.fired for r in summary.records] \
+            == [result is not None for result in results] == [True] * 4
+        assert [r.outcome for r in summary.records] \
+            == [result.outcome for result in results] \
+            == [Outcome.DETECTED, Outcome.DETECTED, Outcome.BENIGN,
+                Outcome.DETECTED]
