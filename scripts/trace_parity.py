@@ -1,0 +1,325 @@
+"""Whole-trace fingerprints of the runtime's teardown paths.
+
+Usage: PYTHONPATH=src python scripts/trace_parity.py [scenario ...]
+
+Runs a fixed set of small protected runs, each of which drives one
+segment-teardown path (rollback, checker retry, TMR outvote and
+mid-replay replica discard, TMR forward recovery, pressure shed/evict,
+OOM shed), and prints one ``<scenario> <sha256>`` line per run.  The hash
+covers the canonical JSON of ``stats.to_dict()``, stdout, stderr, the
+phase profile (per-phase and per-segment cycle ledgers, stall seconds) and
+every trace event's ``(ts, kind, pid, role, core, segment, payload)`` in
+order, so two source trees that print the same lines behave identically
+on these paths down to the last event.  Each scenario asserts that it
+still exercises its path, so the coverage cannot silently vanish.
+
+The script only uses APIs that have been stable across refactors
+(``Parallaft``, ``ParallaftConfig``, ``get_mode``, ``FaultSite``,
+``quantum_hooks``), so it can fingerprint an older checkout too: point
+``PYTHONPATH`` at that tree's ``src`` and diff the output.
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import json
+import sys
+
+from repro.core import Parallaft, ParallaftConfig
+from repro.faults import FaultSite
+from repro.minic import compile_source
+from repro.modes import get_mode
+from repro.sim import apple_m2
+from repro.trace import events as tev
+
+#: Large enough that no scenario drops an event.
+TRACE_CAPACITY = 1 << 22
+PAGE = 16384
+
+RECOVERY_SOURCE = """
+global data[128];
+func main() {
+    var i; var round; var total;
+    srand64(11);
+    for (round = 0; round < 30; round = round + 1) {
+        for (i = 0; i < 128; i = i + 1) {
+            data[i] = data[i] * 3 + round + i;
+        }
+        print_int(data[round]);
+    }
+    total = 0;
+    for (i = 0; i < 128; i = i + 1) { total = total + data[i]; }
+    print_int(total);
+}
+"""
+
+RETRY_SOURCE = """
+global data[256];
+func main() {
+    var i; var round; var total;
+    for (round = 0; round < 40; round = round + 1) {
+        for (i = 0; i < 256; i = i + 1) {
+            data[i] = data[i] * 3 + round;
+        }
+    }
+    total = 0;
+    for (i = 0; i < 256; i = i + 1) { total = total + data[i]; }
+    print_int(total);
+}
+"""
+
+MODES_SOURCE = """
+global data[512];
+func main() {
+    var i; var round; var acc;
+    acc = 0;
+    for (round = 0; round < 20; round = round + 1) {
+        for (i = 0; i < 512; i = i + 1) {
+            data[i] = data[i] * 3 + round + i;
+            acc = acc + data[i];
+        }
+        print_int(acc % 1000003);
+    }
+}
+"""
+
+PRESSURE_SOURCE = """
+global data[2048];
+func main() {
+    var i; var round;
+    srand64(7);
+    for (round = 0; round < 24; round = round + 1) {
+        for (i = 0; i < 2048; i = i + 1) {
+            data[i] = data[i] * 5 + round + i;
+        }
+        print_int(data[round] % 1000003);
+    }
+}
+"""
+
+
+def run(source, config, hook=None):
+    config.trace_capacity = TRACE_CAPACITY
+    runtime = Parallaft(compile_source(source), config=config,
+                        platform=apple_m2())
+    if hook is not None:
+        runtime.quantum_hooks.append(hook(runtime))
+    stats = runtime.run()
+    require(runtime.trace.dropped == 0, "the trace ring overflowed")
+    return runtime, stats
+
+
+def require(condition, what: str) -> None:
+    """Fail the scenario when it no longer drives its path (a plain
+    ``assert`` would vanish under ``python -O``)."""
+    if not condition:
+        raise RuntimeError(f"scenario lost its coverage: {what}")
+
+
+def fingerprint(runtime, stats) -> str:
+    digest = hashlib.sha256()
+
+    def feed(obj):
+        digest.update(json.dumps(obj, sort_keys=True, default=repr)
+                      .encode())
+        digest.update(b"\n")
+
+    feed(stats.to_dict())
+    feed([stats.stdout, stats.stderr])
+    profile = stats.phase_profile
+    feed([profile.cycles, profile.stall_seconds, profile.segment_cycles,
+          profile.total_cycles])
+    for e in runtime.trace:
+        feed([e.ts, e.kind, e.pid, e.role, e.core, e.segment, e.payload])
+    return digest.hexdigest()
+
+
+def kinds(runtime, kind, **match):
+    return [e for e in runtime.trace if e.kind == kind
+            and all(e.payload.get(k) == v for k, v in match.items())]
+
+
+# -- fault hooks -------------------------------------------------------------
+
+def flip_once(role, after, file, index, bit):
+    """Flip one register bit in the first ``role`` process past ``after``
+    seconds of user time."""
+    def make(runtime):
+        fired = [False]
+
+        def hook(proc, proc_role):
+            if not fired[0] and proc_role == role \
+                    and proc.user_time > after:
+                proc.cpu.regs.flip_bit(file, index, bit)
+                fired[0] = True
+        return hook
+    return make
+
+
+def main_fault(segment_index, site, after_instructions=500):
+    """Flip ``site`` in the main once it is ``after_instructions`` deep
+    into segment ``segment_index``."""
+    def make(runtime):
+        fired = [False]
+
+        def hook(proc, role):
+            segment = runtime.current
+            if fired[0] or role != "main" or segment is None \
+                    or segment.index != segment_index:
+                return
+            progress = (proc.cpu.read_counter("instructions")
+                        - segment.start_instructions)
+            if progress >= after_instructions:
+                fired[0] = site.apply(
+                    proc, runtime.dirty_tracker.dirty_vpns(proc))
+        return hook
+    return make
+
+
+def replica_fault(segment_index, site, replica_slot=0):
+    """Flip ``site`` in one checker replica of segment ``segment_index``."""
+    def make(runtime):
+        fired = [False]
+
+        def hook(proc, role):
+            if fired[0] or role != "checker" \
+                    or segment_index >= len(runtime.segments):
+                return
+            segment = runtime.segments[segment_index]
+            replica = segment.replica_of(proc.pid)
+            if replica is None \
+                    or segment.replicas.index(replica) != replica_slot:
+                return
+            fired[0] = site.apply(proc,
+                                  runtime.dirty_tracker.dirty_vpns(proc))
+        return hook
+    return make
+
+
+# -- scenarios ---------------------------------------------------------------
+
+def rollback():
+    config = ParallaftConfig()
+    config.slicing_period = 400_000_000
+    config.enable_recovery = True
+    runtime, stats = run(RECOVERY_SOURCE, config,
+                         flip_once("main", 0.002, "gpr", 8, 17))
+    require(stats.recovery_rollbacks >= 1 and not stats.errors,
+            "a clean rollback")
+    require(kinds(runtime, tev.SEGMENT_ROLLED_BACK), "rolled-back segments")
+    return runtime, stats
+
+
+def retry():
+    config = ParallaftConfig()
+    config.slicing_period = 500_000_000
+    config.retry_failed_checkers = True
+    runtime, stats = run(RETRY_SOURCE, config,
+                         flip_once("checker", 0.001, "gpr", 8, 13))
+    require(stats.checker_retries >= 1 and not stats.errors,
+            "a checker fault absorbed by a retry")
+    return runtime, stats
+
+
+def tmr_config(**overrides):
+    overrides.setdefault("slicing_period", 40_000_000)
+    return get_mode("tmr").make_config(**overrides)
+
+
+def tmr_outvote():
+    site = FaultSite.register("gpr", 5, 12, target="checker")
+    runtime, stats = run(MODES_SOURCE, tmr_config(),
+                         replica_fault(2, site))
+    require(kinds(runtime, tev.OUTVOTED, cause="registers")
+            and not stats.errors, "a replica outvoted at the boundary")
+    return runtime, stats
+
+
+def tmr_absorb():
+    site = FaultSite.register("gpr", 1, 40, target="checker")
+    runtime, stats = run(MODES_SOURCE, tmr_config(), replica_fault(2, site))
+    require(kinds(runtime, tev.OUTVOTED, cause="exception")
+            and not stats.errors, "a replica discarded mid-replay")
+    return runtime, stats
+
+
+def tmr_forward():
+    site = FaultSite.register("gpr", 8, 17)
+    runtime, stats = run(MODES_SOURCE, tmr_config(), main_fault(2, site))
+    require(stats.tmr_forward_recoveries == 1 and not stats.errors,
+            "one forward recovery")
+    require(kinds(runtime, tev.SEGMENT_ROLLED_BACK,
+                  cause="forward_recovery"), "segments discarded forward")
+    return runtime, stats
+
+
+def pressure_config(budget):
+    config = ParallaftConfig(mem_budget_bytes=budget)
+    config.slicing_period = 150_000_000
+    return config
+
+
+@functools.lru_cache(maxsize=None)
+def pressure_peak() -> float:
+    """Peak resident bytes of the unbudgeted pressure workload."""
+    _, stats = run(PRESSURE_SOURCE, pressure_config(None))
+    return stats.peak_resident_bytes
+
+
+def pressure(scale):
+    def scenario():
+        budget = int(pressure_peak() * scale)
+        runtime, stats = run(PRESSURE_SOURCE, pressure_config(budget))
+        require(stats.pressure_sheds > 0 and stats.pressure_evictions > 0
+                and not stats.errors, "ladder sheds and evictions")
+        return runtime, stats
+    return scenario
+
+
+def pressure_oom():
+    runtime, stats = run(PRESSURE_SOURCE, pressure_config(8 * PAGE))
+    require(kinds(runtime, tev.PRESSURE_SHED, cause="oom"), "OOM sheds")
+    require(stats.oom_killed and not stats.errors, "a clean OOM")
+    return runtime, stats
+
+
+def tmr_pressure():
+    config = get_mode("tmr").make_config(slicing_period=600_000_000,
+                                         mem_budget_bytes=14 * PAGE)
+    runtime, stats = run(PRESSURE_SOURCE, config)
+    require(stats.pressure_sheds > 0 and stats.oom_killed
+            and not stats.errors, "TMR sheds, then a clean OOM")
+    require(kinds(runtime, tev.CHECKER_RETRY, cause="pressure_requeue"),
+            "shed segments re-forked")
+    return runtime, stats
+
+
+SCENARIOS = {
+    "rollback": rollback,
+    "retry": retry,
+    "tmr-outvote": tmr_outvote,
+    "tmr-absorb": tmr_absorb,
+    "tmr-forward": tmr_forward,
+    "pressure-0.9": pressure(0.9),
+    "pressure-0.7": pressure(0.7),
+    "pressure-oom": pressure_oom,
+    "tmr-pressure": tmr_pressure,
+}
+
+
+def main(argv) -> int:
+    names = argv or list(SCENARIOS)
+    unknown = [n for n in names if n not in SCENARIOS]
+    if unknown:
+        print(f"unknown scenario(s): {', '.join(unknown)}; "
+              f"known: {', '.join(SCENARIOS)}", file=sys.stderr)
+        return 2
+    for name in names:
+        runtime, stats = SCENARIOS[name]()
+        print(f"{name} {fingerprint(runtime, stats)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -109,7 +109,7 @@ class CheckerScheduler:
             return False
         on_little = [(s, r.process) for s in self.running
                      for r in s.replicas
-                     if r.process is not None and r.process.core is not None
+                     if r.process.core is not None
                      and not r.process.core.is_big]
         if not on_little:
             return False
@@ -137,14 +137,29 @@ class CheckerScheduler:
             self.running.remove(segment)
         for replica in segment.replicas:
             checker = replica.process
-            if checker is None:
-                continue
             if checker.core is not None and checker.core.is_big:
                 self.stats.checkers_finished_on_big += 1
             self.executor.unassign(checker)
         self._update_pacer(segment)
+        self.place_pending()
+
+    def place_pending(self) -> None:
+        """Place queued segments, oldest first, while cores allow."""
         while self.pending and self._try_place(self.pending[0]):
             self.pending.pop(0)
+
+    def dequeue(self, segment: Segment) -> None:
+        """Drop ``segment`` from the placement queue, if it waits there."""
+        if segment in self.pending:
+            self.pending.remove(segment)
+
+    def withdraw(self, segment: Segment) -> None:
+        """Forget ``segment`` without completing its check: unlike
+        :meth:`on_checker_done`, no pacer update, no finished-on-big
+        count, no core release and no placement of pending work."""
+        self.dequeue(segment)
+        if segment in self.running:
+            self.running.remove(segment)
 
     def on_main_exit(self) -> None:
         """Migrate stragglers to big cores and run flat out (paper §4.5)."""
@@ -155,15 +170,13 @@ class CheckerScheduler:
             for segment in sorted(self.running, key=lambda s: s.index):
                 for replica in segment.replicas:
                     checker = replica.process
-                    if checker is None or checker.core is None \
-                            or checker.core.is_big:
+                    if checker.core is None or checker.core.is_big:
                         continue
                     big = self.executor.free_core("big")
                     if big is None:
                         break
                     self.migrate(segment, big, checker)
-        while self.pending and self._try_place(self.pending[0]):
-            self.pending.pop(0)
+        self.place_pending()
 
     # -- pacing ------------------------------------------------------------------------
 
@@ -171,8 +184,7 @@ class CheckerScheduler:
         if (not self.config.enable_dvfs_pacer or self.main_done
                 or not segment.replicas):
             return
-        work_cycles = (sum(r.process.user_cycles for r in segment.replicas
-                           if r.process is not None)
+        work_cycles = (sum(r.process.user_cycles for r in segment.replicas)
                        - segment.checker_user_cycles_at_start)
         interval = None
         if segment.ready_time is not None:

@@ -14,9 +14,9 @@ action never precedes stage N−1 (a checked trace invariant):
    the producer lets the checkers drain.  Engaged at the low watermark,
    released below it.
 2. **shed** (``pressure_shed``) — tear down the *youngest* in-flight
-   checker (it has the most replay left to redo, so the least sunk work)
-   and re-queue its segment; a fresh checker is re-forked from the retained
-   segment-start checkpoint once pressure eases.
+   segment's checkers (it has the most replay left to redo, so the least
+   sunk work) and re-queue it; fresh checkers are re-forked from the
+   retained segment-start checkpoint once pressure eases.
 3. **evict** (``evict``) — reap retained recovery checkpoints oldest-first,
    but never the rollback anchor (the oldest live segment's checkpoint is
    the last verified state — recovery would be lost with it).  An evicted
@@ -124,7 +124,7 @@ class PressureController:
             if self.stall_engaged:
                 self._release_stall()
             self._wake_blocked()
-            self._respawn_parked()
+            self.respawn_parked()
             return
         if not self.stall_engaged:
             self._engage_stall()
@@ -134,10 +134,10 @@ class PressureController:
             self._escalate_once()
             # The throttle inside only readmits a checker when none is
             # runnable (the stall needs one to drain into).
-            self._respawn_parked()
+            self.respawn_parked()
         else:
             self._wake_blocked()
-            self._respawn_parked()
+            self.respawn_parked()
 
     def _update_rate(self, main: "Process") -> None:
         progress = self.rt._main_progress_units(main)
@@ -160,8 +160,7 @@ class PressureController:
     # ------------------------------------------------------ stage 1: stall
 
     def note_stage(self, stage: int) -> None:
-        """Record that a ladder stage was exercised (also called by the
-        runtime's OOM shed path)."""
+        """Record that a ladder stage was exercised."""
         self._stage_reached = max(self._stage_reached, stage)
 
     def _mark_dry(self, kind: str, stage: int) -> None:
@@ -227,42 +226,47 @@ class PressureController:
         self._mark_dry(tev.EVICT, 3)
         self._adapt()
 
-    def _shed_one(self) -> bool:
-        """Stage 2: sacrifice the youngest running checker, park its
-        segment for a respawn from the retained checkpoint."""
-        rt = self.rt
-        current = rt.executor.current_proc
-        candidates = [
-            s for s in rt.sched.running
-            if s.live_replicas()
-            and all(r.process is not current for r in s.replicas)
-            and s.recovery_checkpoint is not None
-            and not s.checkpoint_evicted
-            and s.sheds < MAX_SEGMENT_SHEDS]
-        if not candidates:
-            return False
-        segment = max(candidates, key=lambda s: s.index)
+    def can_shed(self, segment: Segment) -> bool:
+        """A segment is sheddable while its retained checkpoint can
+        re-fork the replicas and its shed budget is not spent."""
+        return (segment.recovery_checkpoint is not None
+                and not segment.checkpoint_evicted
+                and segment.sheds < MAX_SEGMENT_SHEDS)
+
+    def shed(self, segment: Segment, **payload) -> None:
+        """Stage 2: kill every replica of ``segment`` and park it for a
+        respawn from its retained checkpoint.
+
+        The whole replica set goes: a respawn re-forks every replica, so
+        keeping a subset would only hold memory without ever producing a
+        vote.  The ``pressure_shed`` event reports the bytes the shed
+        freed unless ``payload`` says otherwise (the OOM path reports
+        ``cause="oom", freed=0``).
+        """
         before = self.pool.resident_bytes
-        # Shed the whole replica set: a respawn re-forks every replica
-        # from the retained checkpoint, so keeping a subset would only
-        # hold memory without ever producing a vote.
         for replica in segment.replicas:
-            checker = replica.process
-            rt.segment_of_checker.pop(checker.pid, None)
-            rt._stalled_checkers.discard(checker.pid)
-            self._blocked.pop(checker.pid, None)
-            if checker.alive:
-                rt.kernel.exit_process(checker, 128 + abi.SIGKILL)
-            rt.kernel.reap(checker)
-        rt.sched.on_checker_done(segment)
-        segment.checker = None
+            self._blocked.pop(replica.process.pid, None)
+        self.rt.drop_replicas(segment, exit_code=128 + abi.SIGKILL)
         segment.sheds += 1
         segment.status = SegmentStatus.READY
         self._parked.append(segment)
         self.note_stage(2)
-        rt.stats.pressure_sheds += 1
-        rt._emit(tev.PRESSURE_SHED, segment=segment.index, stage=2,
-                 freed=before - self.pool.resident_bytes)
+        self.rt.stats.pressure_sheds += 1
+        payload.setdefault("freed", before - self.pool.resident_bytes)
+        self.rt._emit(tev.PRESSURE_SHED, segment=segment.index, stage=2,
+                      **payload)
+
+    def _shed_one(self) -> bool:
+        """Stage 2 on the ladder: shed the youngest running segment."""
+        current = self.rt.executor.current_proc
+        candidates = [
+            s for s in self.rt.sched.running
+            if s.live_replicas()
+            and all(r.process is not current for r in s.replicas)
+            and self.can_shed(s)]
+        if not candidates:
+            return False
+        self.shed(max(candidates, key=lambda s: s.index))
         return True
 
     def _evict_one(self) -> bool:
@@ -281,10 +285,7 @@ class PressureController:
             return False
         victim = retaining[1]  # oldest-first, skipping the anchor
         before = self.pool.resident_bytes
-        rt.roles.pop(victim.recovery_checkpoint.pid, None)
-        rt.kernel.reap(victim.recovery_checkpoint)
-        victim.recovery_checkpoint = None
-        victim.checkpoint_evicted = True
+        rt.evict_checkpoint(victim)
         self.note_stage(3)
         rt.stats.pressure_evictions += 1
         rt._emit(tev.EVICT, segment=victim.index, stage=3,
@@ -315,12 +316,6 @@ class PressureController:
         return True
 
     # ------------------------------------------------------ respawn / liveness
-
-    def park(self, segment: Segment) -> None:
-        """Park a segment whose checker the OOM path sacrificed."""
-        if segment not in self._parked:
-            self._parked.append(segment)
-        self._respawn_parked()
 
     def block_checker(self, proc: "Process", segment: Segment) -> None:
         """Hold a checker on its faulting store (kernel found the stop
@@ -358,7 +353,7 @@ class PressureController:
             self.rt._emit(tev.CHECKER_WAKE, proc=proc,
                           segment=segment.index if segment else None)
 
-    def _respawn_parked(self, force: bool = False) -> None:
+    def respawn_parked(self, force: bool = False) -> None:
         """Re-fork one parked segment's checker (all of them when forced).
 
         Respawns are throttled to one per call below the high watermark;
@@ -429,19 +424,14 @@ class PressureController:
                 and self._util() < LOW_WATERMARK):
             self._release_stall()
         self._wake_blocked()
-        self._respawn_parked()
+        self.respawn_parked()
 
     def on_main_exit(self) -> None:
         """The main exited: every parked segment must still be verified,
         so respawn them all (and resume blocked checkers) for the tail
         phase."""
         self._wake_blocked(force=True)
-        self._respawn_parked(force=True)
-
-    def on_rollback(self) -> None:
-        """Recovery replaced the main; the old stall died with it."""
-        # stall_engaged survives (pressure has not eased); the new main is
-        # re-stalled at the next poll if needed.
+        self.respawn_parked(force=True)
 
     # ------------------------------------------------------ emergency reclaim
 

@@ -43,7 +43,7 @@ from repro.core.config import (
     ParallaftConfig,
 )
 from repro.core.dirty_tracker import DirtyPageTracker
-from repro.core.pressure import MAX_SEGMENT_SHEDS, PressureController
+from repro.core.pressure import PressureController
 from repro.core.exec_point import (
     ExecPoint,
     ExecPointReplayer,
@@ -283,19 +283,16 @@ class Parallaft(Tracer):
 
     def _start_segment(self) -> None:
         main = self.main
-        checker, fork_cost = self.kernel.fork(
-            main, name=f"checker-{len(self.segments)}", paused=True)
-        self.executor.charge(main, fork_cost, phase=mph.CHECKPOINT_FORK)
-        self.roles[checker.pid] = "checker"
         segment = Segment(
             index=len(self.segments),
-            checker=checker,
             start_branches=main.cpu.branches_retired,
             start_instructions=self._instr_reading(main),
             start_cycles=main.user_cycles,
             start_time=self.executor.current_time,
         )
-        self.segment_of_checker[checker.pid] = segment
+        checker, fork_cost = self.fork_replica(
+            segment, main, f"checker-{segment.index}")
+        self.executor.charge(main, fork_cost, phase=mph.CHECKPOINT_FORK)
         self.segments.append(segment)
         self.current = segment
         segment.log.integrity = self.config.log_checksums
@@ -336,13 +333,10 @@ class Parallaft(Tracer):
         for n in range(1, self.mode.replica_count):
             # Extra checker replicas (TMR): independent paused forks of
             # the same segment-start state, each a voter at the boundary.
-            extra, extra_cost = self.kernel.fork(
-                main, name=f"checker-{segment.index}r{n}", paused=True)
+            _, extra_cost = self.fork_replica(
+                segment, main, f"checker-{segment.index}r{n}")
             self.executor.charge(main, extra_cost,
                                  phase=mph.CHECKPOINT_FORK)
-            self.roles[extra.pid] = "checker"
-            self.segment_of_checker[extra.pid] = segment
-            segment.add_replica(extra)
         # RAFT submits here so its checker runs concurrently from the
         # very start, consuming the log as it is recorded.
         self.mode.on_segment_start(self, segment)
@@ -466,9 +460,8 @@ class Parallaft(Tracer):
 
     def _record_appended(self, segment: Segment) -> None:
         for replica in segment.replicas:
-            proc = replica.process
-            if proc is not None and proc.pid in self._stalled_checkers:
-                self._wake_checker(proc)
+            if replica.process.pid in self._stalled_checkers:
+                self._wake_checker(replica.process)
 
     def _drain_signal_records(self, checker: Process) -> None:
         """Inject record-stream signals the main raised against itself.
@@ -655,59 +648,150 @@ class Parallaft(Tracer):
         self.stats.checker_retries += 1
         if self.config.enable_recovery:
             self.stats.recovery_retries += 1
-        self._teardown_replicas(segment)
-        self.sched.on_checker_done(segment)
-        segment.checker = None
+        self.drop_replicas(segment, exit_code=1)
         self._respawn_checker(
             segment, f"checker-{segment.index}-retry{segment.retries}",
             cause=kind)
 
-    def _teardown_replicas(self, segment: Segment,
-                           exit_code: int = 1) -> None:
-        """Detach, kill and reap every checker replica of ``segment``.
-
-        Detaching (``segment_of_checker``) comes first so the exit hook
-        does not re-enter the error path for checkers we are deliberately
-        discarding.  The caller runs ``sched.on_checker_done`` (which
-        releases the replicas' cores) and then clears ``segment.checker``.
-        """
-        for replica in segment.replicas:
-            proc = replica.process
-            if proc is None:
-                continue
-            self.segment_of_checker.pop(proc.pid, None)
-            self._stalled_checkers.discard(proc.pid)
-            if proc.alive:
-                self.kernel.exit_process(proc, exit_code)
-            self.kernel.reap(proc)
-
     def _respawn_checker(self, segment: Segment, name: str,
                          cause: str) -> None:
-        """Fork a fresh checker for ``segment`` from its retained
+        """Fork a fresh replica set for ``segment`` from its retained
         segment-start checkpoint and re-release it (shared by the retry
-        path and the pressure controller's shed/re-queue path)."""
-        source = segment.recovery_checkpoint
-        segment.checker = None   # drop any stale replica state
-        fresh, cost = self.kernel.fork(source, name=name, paused=True)
-        # This work happens off the main's critical path; charge the new
-        # checker once it lands on a core.
-        self.roles[fresh.pid] = "checker"
-        self.segment_of_checker[fresh.pid] = segment
-        segment.checker = fresh   # fresh Replica with a fresh log cursor
-        self.executor.charge_deferred(fresh, cost,
-                                      phase=mph.CHECKPOINT_FORK)
-        for n in range(1, self.mode.replica_count):
-            extra, extra_cost = self.kernel.fork(
-                source, name=f"{name}r{n}", paused=True)
-            self.roles[extra.pid] = "checker"
-            self.segment_of_checker[extra.pid] = segment
-            segment.add_replica(extra)
-            self.executor.charge_deferred(extra, extra_cost,
+        path and the pressure controller's shed/re-queue path, both of
+        which dropped the old replicas first)."""
+        for n in range(self.mode.replica_count):
+            # This work happens off the main's critical path; charge each
+            # new checker once it lands on a core.
+            fresh, cost = self.fork_replica(
+                segment, segment.recovery_checkpoint,
+                f"{name}r{n}" if n else name)
+            self.executor.charge_deferred(fresh, cost,
                                           phase=mph.CHECKPOINT_FORK)
         segment.status = SegmentStatus.READY
-        self._emit(tev.CHECKER_RETRY, proc=fresh, segment=segment.index,
-                   retry=segment.retries, cause=cause)
+        self._emit(tev.CHECKER_RETRY, proc=segment.checker,
+                   segment=segment.index, retry=segment.retries, cause=cause)
         self._release_segment(segment)
+
+    # ------------------------------------------------------ replica lifecycle
+    # The runtime alone forks, drops and discards checker replicas and
+    # segment checkpoints.  Detection modes, recovery and the pressure
+    # controller compose these methods; each passes what differs between
+    # its paths (exit code, what to book, event payload) as an argument or
+    # does it as a step of its own.
+
+    def fork_replica(self, segment: Segment, source: Process,
+                     name: str) -> Tuple[Process, float]:
+        """Fork a paused checker replica of ``segment`` from ``source``
+        and register it; returns ``(process, fork cost)`` for the caller
+        to charge."""
+        proc, cost = self.kernel.fork(source, name=name, paused=True)
+        self.roles[proc.pid] = "checker"
+        self.segment_of_checker[proc.pid] = segment
+        segment.add_replica(proc)
+        return proc, cost
+
+    def _unmap_checker(self, proc: Process) -> None:
+        """Detach ``proc`` from the runtime's checker maps: its exit no
+        longer reaches the error path and no record append wakes it."""
+        self.segment_of_checker.pop(proc.pid, None)
+        self._stalled_checkers.discard(proc.pid)
+
+    def _book_checker_time(self, proc: Process) -> None:
+        self.stats.checker_user_time += proc.user_time
+        self.stats.checker_sys_time += proc.sys_time
+        self.stats.checker_cycles_big += proc.cycles_big
+        self.stats.checker_cycles_little += proc.cycles_little
+
+    def remove_replica(self, segment: Segment, replica) -> Process:
+        """Take ``replica`` out of ``segment``'s voters, detach it and book
+        its work so far as checker time; returns its process, still
+        alive (TMR promotes it or drops it)."""
+        proc = replica.process
+        segment.replicas.remove(replica)
+        self._unmap_checker(proc)
+        self._book_checker_time(proc)
+        return proc
+
+    def drop_replica(self, segment: Segment, replica,
+                     exit_code: int) -> None:
+        """Detach ``replica``, kill it with ``exit_code`` and reap it.
+
+        Detaching comes first so the exit hook does not re-enter the
+        error path for a checker discarded on purpose.  The scheduler's
+        ``on_checker_done`` releases the cores of the replicas of a
+        segment it still runs; any other replica (removed from the
+        voters, or of a withdrawn segment) gives its core back here,
+        between the kill and the reap.
+        """
+        proc = replica.process
+        self._unmap_checker(proc)
+        if proc.alive:
+            self.kernel.exit_process(proc, exit_code)
+        if replica not in segment.replicas \
+                or segment not in self.sched.running:
+            self.executor.unassign(proc)
+        self.kernel.reap(proc)
+
+    def drop_replicas(self, segment: Segment, exit_code: int) -> None:
+        """Drop every replica of ``segment``, let the scheduler complete
+        the segment (core release, pacer, placement of pending work),
+        then forget the replicas."""
+        for replica in segment.replicas:
+            self.drop_replica(segment, replica, exit_code)
+        self.sched.on_checker_done(segment)
+        segment.replicas = []
+
+    def _reap_checkpoint(self, checkpoint: Optional[Process]) -> None:
+        if checkpoint is not None:
+            self.roles.pop(checkpoint.pid, None)
+            self.kernel.reap(checkpoint)
+
+    def release_checkpoints(self, segment: Segment) -> None:
+        """Reap ``segment``'s end checkpoint (unless that is the main
+        itself) and its retained recovery checkpoint."""
+        if not segment.end_is_main:
+            self._reap_checkpoint(segment.end_checkpoint)
+        self._reap_checkpoint(segment.recovery_checkpoint)
+        segment.end_checkpoint = segment.recovery_checkpoint = None
+
+    def evict_checkpoint(self, segment: Segment) -> None:
+        """Reap ``segment``'s retained recovery checkpoint only; a later
+        retry or rollback that wanted it refuses with
+        ``checkpoint_evicted``."""
+        self._reap_checkpoint(segment.recovery_checkpoint)
+        segment.recovery_checkpoint = None
+        segment.checkpoint_evicted = True
+
+    def discard_segment(self, segment: Segment, **payload) -> None:
+        """Throw ``segment`` away as ``ROLLED_BACK``.
+
+        The scheduler forgets it without completing its check, replicas
+        still attached leave the runtime (roles included) with exit code
+        1, and its checkpoints are released.  Safe on a retired segment:
+        only its status flips.  ``payload`` extends the
+        ``segment_rolled_back`` event.
+        """
+        self.sched.withdraw(segment)
+        for replica in segment.replicas:
+            self.roles.pop(replica.process.pid, None)
+            self.drop_replica(segment, replica, 1)
+        segment.replicas = []
+        self.release_checkpoints(segment)
+        segment.status = SegmentStatus.ROLLED_BACK
+        self._emit(tev.SEGMENT_ROLLED_BACK, segment=segment.index, **payload)
+
+    def truncate_consoles(self, segment: Segment,
+                          emit_empty: bool = False) -> None:
+        """Throw away console output produced since ``segment`` started:
+        the consoles model a commit-on-verify buffer.  A stream that did
+        not grow emits ``console_truncate`` only with ``emit_empty``."""
+        for console, stream, mark in (
+                (self.kernel.console, "stdout", segment.console_mark),
+                (self.kernel.stderr_console, "stderr", segment.stderr_mark)):
+            if emit_empty or console.mark() > mark:
+                console.truncate(mark)
+                self._emit(tev.CONSOLE_TRUNCATE, segment=segment.index,
+                           stream=stream, length=mark)
 
     def _terminate_application(self) -> None:
         """An error was detected: terminate the application (paper §4.4)."""
@@ -1183,24 +1267,12 @@ class Parallaft(Tracer):
             if main is not None and main.alive and main is not proc:
                 self.kernel.oom_kill(main)
             return False
-        if (segment.recovery_checkpoint is not None
-                and not segment.checkpoint_evicted
-                and segment.sheds < MAX_SEGMENT_SHEDS):
-            # Shed the whole replica set: the respawn path rebuilds every
-            # replica from the retained checkpoint, so keeping a sibling
-            # of the OOMing checker alive would only double it up later.
-            self._teardown_replicas(segment, exit_code=128 + abi.SIGKILL)
-            self.sched.on_checker_done(segment)
-            segment.checker = None
-            segment.sheds += 1
-            segment.status = SegmentStatus.READY
-            self.pressure.note_stage(2)
-            self.stats.pressure_sheds += 1
+        if self.pressure.can_shed(segment):
             # Legal at stage 2: the emergency reclaim engaged the stage-1
-            # stall before the allocation was allowed to fail.
-            self._emit(tev.PRESSURE_SHED, segment=segment.index, stage=2,
-                       cause="oom", freed=0)
-            self.pressure.park(segment)
+            # stall before the allocation was allowed to fail.  This
+            # path records no measured bytes: cause="oom", freed=0.
+            self.pressure.shed(segment, cause="oom", freed=0)
+            self.pressure.respawn_parked()
             return True
         if can_block:
             # No checkpoint to respawn from: hold the checker on the
@@ -1461,19 +1533,15 @@ class Parallaft(Tracer):
         segment.retired = True
         for replica in segment.replicas:
             checker = replica.process
-            if checker is None:
-                continue
-            self.stats.checker_user_time += checker.user_time
-            self.stats.checker_sys_time += checker.sys_time
-            self.stats.checker_cycles_big += checker.cycles_big
-            self.stats.checker_cycles_little += checker.cycles_little
+            self._book_checker_time(checker)
+            # Not drop_replica: a verified replica stays mapped to its
+            # segment, so the cost of the stop that completed the check,
+            # which the step loop charges after this returns, still lands
+            # in the segment's phase ledger.
             if checker.alive:
                 self.kernel.exit_process(checker, 0)
             self.kernel.reap(checker)
-        if segment.end_checkpoint is not None and not segment.end_is_main:
-            self.kernel.reap(segment.end_checkpoint)
-        if segment.recovery_checkpoint is not None:
-            self.kernel.reap(segment.recovery_checkpoint)
+        self.release_checkpoints(segment)
         self.sched.on_checker_done(segment)
         self._emit(tev.SEGMENT_RETIRE, segment=segment.index)
         self._maybe_wake_stalled_main()

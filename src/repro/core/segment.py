@@ -63,12 +63,12 @@ class Replica:
         self.early_vpns = ()
 
     def __repr__(self) -> str:
-        pid = self.process.pid if self.process is not None else None
-        return f"Replica(pid={pid}, reached_end={self.reached_end})"
+        return (f"Replica(pid={self.process.pid}, "
+                f"reached_end={self.reached_end})")
 
 
 class Segment:
-    def __init__(self, index: int, checker: Process,
+    def __init__(self, index: int,
                  start_branches: int, start_instructions: int,
                  start_cycles: float, start_time: float):
         self.index = index
@@ -78,11 +78,10 @@ class Segment:
         #: segment compares against the exited main, which is not reaped).
         self.end_is_main = False
         self.log = RrLog()
-        #: Checker replicas (paused forks of the segment-start state).
-        #: ``checker``/``cursor``/``replayer`` below view replica 0, the
-        #: only one in single-replica modes.
+        #: Checker replicas (paused forks of the segment-start state),
+        #: forked and dropped by the runtime.  ``checker``/``cursor``
+        #: below view replica 0, the only one in single-replica modes.
         self.replicas: List[Replica] = []
-        self.checker = checker
         self.status = SegmentStatus.RECORDING
 
         # Counter bases at segment start (from the main's CPU).
@@ -145,35 +144,12 @@ class Segment:
         """Replica 0's process; the only checker in non-TMR modes."""
         return self.replicas[0].process if self.replicas else None
 
-    @checker.setter
-    def checker(self, process: Optional[Process]) -> None:
-        if process is None:
-            self.replicas = []
-        elif self.replicas:
-            self.replicas[0].process = process
-        else:
-            self.replicas = [Replica(process, self.log.cursor())]
-
     @property
     def cursor(self):
         return self.replicas[0].cursor if self.replicas else None
 
-    @cursor.setter
-    def cursor(self, cursor) -> None:
-        if self.replicas:
-            self.replicas[0].cursor = cursor
-
-    @property
-    def replayer(self) -> Optional[ExecPointReplayer]:
-        return self.replicas[0].replayer if self.replicas else None
-
-    @replayer.setter
-    def replayer(self, replayer: Optional[ExecPointReplayer]) -> None:
-        if self.replicas:
-            self.replicas[0].replayer = replayer
-
     def add_replica(self, process: Process) -> Replica:
-        """Attach an extra checker replica with its own log cursor."""
+        """Attach a checker replica with its own log cursor."""
         replica = Replica(process, self.log.cursor())
         self.replicas.append(replica)
         return replica
@@ -181,13 +157,12 @@ class Segment:
     def replica_of(self, pid: int) -> Optional[Replica]:
         """The replica owning process ``pid``, if any."""
         for replica in self.replicas:
-            if replica.process is not None and replica.process.pid == pid:
+            if replica.process.pid == pid:
                 return replica
         return None
 
     def live_replicas(self) -> List[Replica]:
-        return [r for r in self.replicas
-                if r.process is not None and r.process.alive]
+        return [r for r in self.replicas if r.process.alive]
 
     def all_replicas_arrived(self) -> bool:
         return bool(self.replicas) and all(r.reached_end

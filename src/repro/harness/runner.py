@@ -298,6 +298,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    import argparse
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI: ``python -m repro.harness.runner --bench mcf --mem-sample``.
 
@@ -325,16 +333,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "mean PSS / peak resident bytes")
     parser.add_argument("--budget", type=int, default=None, metavar="BYTES",
                         help="frame-pool budget in bytes (default unbounded)")
-    parser.add_argument("--scale", type=int, default=1)
-    parser.add_argument("--quantum", type=int, default=2000)
+    parser.add_argument("--scale", type=_positive_int, default=1)
+    parser.add_argument("--quantum", type=_positive_int, default=2000)
     parser.add_argument("--seed-base", type=int, default=0)
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="write a Chrome trace JSON per input")
     parser.add_argument("--metrics", action="store_true",
                         help="live gauge dashboard during the run plus a "
                              "phase-attributed overhead table at the end")
-    parser.add_argument("--metrics-interval", type=float, default=0.5,
-                        metavar="SECONDS",
+    parser.add_argument("--metrics-interval", type=_positive_float,
+                        default=0.5, metavar="SECONDS",
                         help="virtual-time gauge sampling period "
                              "(default 0.5)")
     parser.add_argument("--prom", default=None, metavar="PATH",

@@ -22,15 +22,16 @@ outvoted immediately rather than failing the segment: the remaining
 voters still form a majority.  Integrity faults are never absorbed —
 they implicate the comparator or saved state, not one replica.
 
-Forward recovery is TMR policy and lives here; swapping the winner in
-as the main is the runtime mechanism ``Parallaft._adopt_main``, which
-rollback recovery shares.
+Forward recovery is TMR policy and lives here.  The mechanisms are the
+runtime's: ``Parallaft._adopt_main`` swaps the winner in as the main (as
+rollback recovery does), and the replica lifecycle methods
+(``remove_replica``, ``drop_replica``, ``drop_replicas``,
+``discard_segment``, ``truncate_consoles``) detach, kill and discard.
 """
 
 from __future__ import annotations
 
 from repro.common.errors import RuntimeConfigError
-from repro.core.segment import SegmentStatus
 from repro.modes.base import DetectionMode, register_mode
 from repro.trace import events as tev
 
@@ -136,7 +137,9 @@ class TmrMode(DetectionMode):
             # Last live replica: two voters left, no majority possible —
             # let the error report proceed.
             return False
-        self._discard_replica(rt, segment, replica)
+        # The segment lives on with the surviving voters.
+        rt.remove_replica(segment, replica)
+        rt.drop_replica(segment, replica, 1)
         rt.stats.tmr_outvoted += 1
         rt._emit(tev.OUTVOTED, segment=segment.index, loser="checker",
                  cause=kind, detail=detail)
@@ -147,29 +150,6 @@ class TmrMode(DetectionMode):
         return True
 
     # ------------------------------------------------------ forward recovery
-
-    @staticmethod
-    def _detach_replica(rt, segment, replica):
-        """Take ``replica`` out of ``segment``'s voters and book its work
-        so far as checker time; returns its process."""
-        proc = replica.process
-        segment.replicas.remove(replica)
-        rt.segment_of_checker.pop(proc.pid, None)
-        rt._stalled_checkers.discard(proc.pid)
-        rt.stats.checker_user_time += proc.user_time
-        rt.stats.checker_sys_time += proc.sys_time
-        rt.stats.checker_cycles_big += proc.cycles_big
-        rt.stats.checker_cycles_little += proc.cycles_little
-        return proc
-
-    def _discard_replica(self, rt, segment, replica) -> None:
-        """Remove one outvoted replica: the segment lives on with the
-        surviving voters."""
-        proc = self._detach_replica(rt, segment, replica)
-        if proc.alive:
-            rt.kernel.exit_process(proc, 1)
-        rt.executor.unassign(proc)
-        rt.kernel.reap(proc)
 
     def _forward_recover(self, rt, segment, vote) -> None:
         """The main was outvoted: adopt the majority state and continue
@@ -185,26 +165,25 @@ class TmrMode(DetectionMode):
         byte of output committed before it — survives, which is what
         distinguishes forward recovery from a rollback.
         """
-        old_main = rt.main
-        main_was_alive = old_main.alive
+        main_was_alive = rt.main.alive
         # From here on the winner's cycles are the main's.
-        winner = segment.replicas[vote.winner_index]
-        new_main = self._detach_replica(rt, segment, winner)
-        winner.replayer = None
+        new_main = rt.remove_replica(segment,
+                                     segment.replicas[vote.winner_index])
         new_main.cpu.disarm_branch_overflow()
         new_main.cpu.disarm_instr_overflow()
         # -- discard everything recorded after the boundary ------------
         later = [s for s in rt.segments
                  if s.index > segment.index and s.live]
         if later:
-            self._truncate_consoles(rt, min(later, key=lambda s: s.index))
+            rt.truncate_consoles(later[0])
         for stale in later:
             # De-queue first: a discard frees cores, and the scheduler
             # would otherwise place a sibling we are about to tear down.
-            if stale in rt.sched.pending:
-                rt.sched.pending.remove(stale)
+            rt.sched.dequeue(stale)
         for stale in later:
-            self._discard_segment_forward(rt, stale)
+            # Its start state descends from the outvoted main.
+            rt.drop_replicas(stale, exit_code=1)
+            rt.discard_segment(stale, cause="forward_recovery")
         # -- retire the old main (no rollback is counted) --------------
         rt._adopt_main(new_main, rt.kernel.promote_process)
         rt.stats.tmr_forward_recoveries += 1
@@ -218,41 +197,6 @@ class TmrMode(DetectionMode):
             # the adopted state.
             rt.sched.main_done = False
             rt._start_segment()
-        else:
-            # Final segment: the promoted winner sits on the exit
-            # syscall's execution point and will exit natively with the
-            # majority state.
-            rt.kernel.reap(old_main)
-
-    @staticmethod
-    def _truncate_consoles(rt, first_discarded) -> None:
-        """Throw away console output the discarded execution produced."""
-        for console, stream, mark in (
-                (rt.kernel.console, "stdout", first_discarded.console_mark),
-                (rt.kernel.stderr_console, "stderr",
-                 first_discarded.stderr_mark)):
-            if console.mark() > mark:
-                console.truncate(mark)
-                rt._emit(tev.CONSOLE_TRUNCATE, stream=stream, length=mark,
-                         segment=first_discarded.index)
-
-    @staticmethod
-    def _discard_segment_forward(rt, segment) -> None:
-        """Discard a segment recorded after a forward-recovery boundary:
-        its start state descends from the outvoted main."""
-        if segment in rt.sched.pending:
-            rt.sched.pending.remove(segment)
-        rt._teardown_replicas(segment)
-        rt.sched.on_checker_done(segment)
-        segment.checker = None
-        if segment.end_checkpoint is not None and not segment.end_is_main:
-            rt.roles.pop(segment.end_checkpoint.pid, None)
-            rt.kernel.reap(segment.end_checkpoint)
-            segment.end_checkpoint = None
-        if segment.recovery_checkpoint is not None:
-            rt.roles.pop(segment.recovery_checkpoint.pid, None)
-            rt.kernel.reap(segment.recovery_checkpoint)
-            segment.recovery_checkpoint = None
-        segment.status = SegmentStatus.ROLLED_BACK
-        rt._emit(tev.SEGMENT_ROLLED_BACK, segment=segment.index,
-                 cause="forward_recovery")
+        # Otherwise this was the final segment: the promoted winner sits
+        # on the exit syscall's execution point and exits natively with
+        # the majority state.

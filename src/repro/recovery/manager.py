@@ -148,40 +148,35 @@ class RecoveryManager:
         rt._emit(tev.ROLLBACK, proc=old_main, segment=segment.index,
                  rollbacks=self.rollbacks, streak=self.rollback_streak)
 
-        # Everything the main executed past the verified boundary is lost.
+        # Everything the main executed past the verified boundary is lost,
+        # and so is every discarded checker's replay.  The segment's
+        # recovery checkpoint is taken out first: it becomes the new main
+        # instead of being released with the rest.
         wasted = max(0.0, old_main.user_cycles - segment.start_cycles)
-
-        for other in rt.segments:
-            if other.index < segment.index:
-                continue
+        new_main = segment.recovery_checkpoint
+        segment.recovery_checkpoint = None
+        for other in rt.segments[segment.index:]:
             if other.status == SegmentStatus.ROLLED_BACK:
                 continue
-            wasted += self._discard(other, promote=(other is segment))
+            if other.checker is not None:
+                wasted += other.checker.user_cycles
+            rt.discard_segment(other)
         self._last_rollback_index = len(rt.segments) - 1
         self.stats.recovery_wasted_cycles += wasted
 
         # Roll output back: nothing the discarded execution printed may
         # escape the sphere of replication.
-        kernel.console.truncate(segment.console_mark)
-        kernel.stderr_console.truncate(segment.stderr_mark)
-        rt._emit(tev.CONSOLE_TRUNCATE, segment=segment.index,
-                 stream="stdout", length=segment.console_mark)
-        rt._emit(tev.CONSOLE_TRUNCATE, segment=segment.index,
-                 stream="stderr", length=segment.stderr_mark)
+        rt.truncate_consoles(segment, emit_empty=True)
 
         # Replace the corrupted main with the verified checkpoint.
         # Restoring costs what materializing the checkpoint's COW fork
         # costs (rr-style restore is an unpause plus page-table work),
         # charged once the restored main lands on a core.
-        new_main = segment.recovery_checkpoint
-        segment.recovery_checkpoint = None
         rt.executor.charge_deferred(
             new_main, kernel.costs.fork_cycles(new_main.mem.mapped_pages),
             phase=mph.RECOVERY_ROLLBACK)
         rt._adopt_main(new_main, kernel.rollback_to_checkpoint)
         rt.sched.main_done = False
-        if rt.pressure is not None:
-            rt.pressure.on_rollback()
 
         # Arm the watchdog: the re-execution must reach the next boundary
         # within a multiple of the work the original recording needed.
@@ -191,55 +186,6 @@ class RecoveryManager:
                 * self.config.recovery_watchdog_scale) + 1024)
 
         # Freed cores may unblock queued checkers of earlier segments.
-        sched = rt.sched
-        while sched.pending and sched._try_place(sched.pending[0]):
-            sched.pending.pop(0)
+        rt.sched.place_pending()
 
         rt._start_segment()
-
-    def _discard(self, segment: Segment, promote: bool) -> float:
-        """Tear one discarded segment down; returns its wasted cycles.
-
-        ``promote`` keeps the segment's recovery checkpoint alive — it
-        becomes the new main.  Safe on already-retired (CHECKED) segments:
-        their verification certified a timeline that no longer exists, so
-        only their status flips (resources were already reaped).
-        """
-        rt = self.rt
-        kernel = rt.kernel
-        sched = rt.sched
-        wasted = 0.0
-        if segment in sched.pending:
-            sched.pending.remove(segment)
-        if segment in sched.running:
-            sched.running.remove(segment)
-
-        checker = segment.checker
-        if checker is not None:
-            wasted += checker.user_cycles
-            rt.segment_of_checker.pop(checker.pid, None)
-            rt.roles.pop(checker.pid, None)
-            rt._stalled_checkers.discard(checker.pid)
-            # Detach before killing so exit/ptrace hooks never fire for a
-            # process we are deliberately discarding.
-            checker.tracer = None
-            if checker.alive:
-                kernel.exit_process(checker, 1)
-            rt.executor.unassign(checker)
-            kernel.reap(checker)
-            segment.checker = None
-
-        if segment.end_checkpoint is not None and not segment.end_is_main:
-            rt.roles.pop(segment.end_checkpoint.pid, None)
-            kernel.reap(segment.end_checkpoint)
-        segment.end_checkpoint = None
-
-        if segment.recovery_checkpoint is not None and not promote:
-            rt.roles.pop(segment.recovery_checkpoint.pid, None)
-            kernel.reap(segment.recovery_checkpoint)
-            segment.recovery_checkpoint = None
-
-        segment.replayer = None
-        segment.status = SegmentStatus.ROLLED_BACK
-        rt._emit(tev.SEGMENT_ROLLED_BACK, segment=segment.index)
-        return wasted

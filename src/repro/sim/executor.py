@@ -56,6 +56,9 @@ class Executor:
             raise SimulationError(
                 f"kernel page size {kernel.page_size} != platform "
                 f"{platform.page_size}")
+        if quantum < 1:
+            # A zero-instruction quantum never advances virtual time.
+            raise ValueError(f"quantum must be >= 1, got {quantum}")
         self.kernel = kernel
         self.platform = platform
         self.quantum = quantum
@@ -371,6 +374,10 @@ class Executor:
 
     def add_sampler(self, interval: float,
                     callback: Callable[[float], None]) -> None:
+        if not interval > 0:
+            # _fire_samplers steps next_time by interval until it passes
+            # the wall clock: a non-positive step never gets there.
+            raise ValueError(f"sampler interval must be > 0, got {interval}")
         self.samplers.append(Sampler(interval, callback))
 
     def _fire_samplers(self) -> None:

@@ -133,6 +133,22 @@ class TestRunners:
         assert prot.mean_pss() > base.mean_pss()
 
 
+class TestRunnerCliValidation:
+    """Regression: ``--quantum 0`` and ``--metrics-interval 0`` hung the
+    run and ``--scale 0`` divided by zero building the workload; each is
+    now an argparse error before anything runs."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--quantum", "0"), ("--quantum", "-5"), ("--scale", "0"),
+        ("--metrics-interval", "0"), ("--metrics-interval", "-1")])
+    def test_non_positive_value_rejected(self, flag, value, capsys):
+        from repro.harness.runner import main
+        with pytest.raises(SystemExit) as exc:
+            main(["--bench", "sphinx3", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
 class TestFigureDrivers:
     def test_table2_capability_matrix(self):
         from repro.harness.figures import table2_capabilities

@@ -210,6 +210,23 @@ class TestParallaftBasic:
         assert stats.nondet_recorded >= 2
 
 
+class TestRunParameterValidation:
+    """Regression: a zero or negative quantum or sampling interval used
+    to hang the run; the executor now rejects both up front."""
+
+    @pytest.mark.parametrize("quantum", [0, -5])
+    def test_non_positive_quantum_rejected(self, quantum):
+        with pytest.raises(ValueError, match="quantum"):
+            Parallaft(compile_source(LOOP_PROGRAM), quantum=quantum)
+
+    @pytest.mark.parametrize("enable", ["enable_metrics_sampling",
+                                        "enable_memory_sampling"])
+    def test_zero_sampling_interval_rejected(self, enable):
+        runtime = Parallaft(compile_source(LOOP_PROGRAM))
+        with pytest.raises(ValueError, match="interval"):
+            getattr(runtime, enable)(interval=0)
+
+
 class TestRaftMode:
     def test_raft_completes_and_matches(self):
         config = get_mode("raft").make_config()

@@ -19,6 +19,8 @@ Three layers, mirroring the subsystem:
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,7 @@ from repro.core import Parallaft, ParallaftConfig
 from repro.faults import Outcome, classify_run
 from repro.mem.frames import FramePool, budget_from_env
 from repro.minic import compile_source
+from repro.modes import get_mode
 from repro.sim import apple_m2
 from repro.trace import InvariantChecker, TraceBuffer, check_runtime
 from repro.trace import events as tev
@@ -276,6 +279,34 @@ def test_protected_oom_is_distinct_exit_class():
     kinds = [e.kind for e in runtime.trace]
     assert kinds.index(tev.PRESSURE_EXHAUSTED) < kinds.index(tev.OOM)
     assert check_runtime(runtime) == []
+
+
+def test_tmr_shed_respawns_replica_pairs():
+    """TMR under a finite budget: the ladder sheds two-replica segments
+    and re-forks both replicas from the retained checkpoint, every vote
+    still has three voters, and exhaustion ends the run as a clean OOM
+    whose committed output is a prefix of the unprotected run's."""
+    kernel, executor = make_machine()
+    proc = kernel.spawn(compile_source(WORKLOAD))
+    executor.schedule_default(proc)
+    executor.run()
+    unprotected = kernel.console.text()
+    config = get_mode("tmr").make_config(slicing_period=600_000_000,
+                                         mem_budget_bytes=14 * PAGE)
+    runtime = Parallaft(compile_source(WORKLOAD), config=config,
+                        platform=apple_m2())
+    stats = runtime.run()
+    assert stats.oom_killed and stats.exit_code == 128 + abi.SIGKILL
+    assert stats.errors == []
+    assert check_runtime(runtime) == []
+    assert unprotected.startswith(stats.stdout)
+    assert stats.pressure_sheds > 0 and stats.pressure_evictions > 0
+    forks = [e.payload["name"] for e in runtime.trace.events(tev.PROCESS_FORK)]
+    respawns = [n for n in forks if re.fullmatch(r"checker-\d+-shed\d+", n)]
+    assert respawns
+    assert all(f"{name}r1" in forks for name in respawns)
+    votes = runtime.trace.events(tev.VOTE)
+    assert votes and all(e.payload["quorum"] == 3 for e in votes)
 
 
 def test_rollback_to_evicted_checkpoint_refused():

@@ -119,6 +119,25 @@ class TestExecutor:
         with pytest.raises(SimulationError):
             Executor(kernel, apple_m2())
 
+    @pytest.mark.parametrize("quantum", [0, -5])
+    def test_non_positive_quantum_rejected(self, quantum):
+        """Regression: a quantum below one instruction never advanced
+        virtual time, so the step loop hung."""
+        platform = apple_m2()
+        with pytest.raises(ValueError, match="quantum"):
+            Executor(Kernel(page_size=platform.page_size), platform,
+                     quantum=quantum)
+
+    @pytest.mark.parametrize("interval", [0, -0.5])
+    def test_non_positive_sampler_interval_rejected(self, interval):
+        """Regression: firing samplers stepped ``next_time`` by the
+        interval until it passed the wall clock, forever for a
+        non-positive step."""
+        _, executor = make_machine()
+        with pytest.raises(ValueError, match="interval"):
+            executor.add_sampler(interval, lambda when: None)
+        assert executor.samplers == []
+
     def test_free_core_prefers_least_busy(self):
         kernel, executor = make_machine()
         a = executor.free_core("big")
