@@ -1,14 +1,17 @@
-"""Whole-trace fingerprints of the runtime's teardown paths.
+"""Whole-trace fingerprints of the runtime's teardown and stall paths.
 
 Usage: PYTHONPATH=src python scripts/trace_parity.py [scenario ...]
 
 Runs a fixed set of small protected runs, each of which drives one
 segment-teardown path (rollback, checker retry, TMR outvote and
 mid-replay replica discard, TMR forward recovery, pressure shed/evict,
-OOM shed), and prints one ``<scenario> <sha256>`` line per run.  The hash
-covers the canonical JSON of ``stats.to_dict()``, stdout, stderr, the
-phase profile (per-phase and per-segment cycle ledgers, stall seconds) and
-every trace event's ``(ts, kind, pid, role, core, segment, payload)`` in
+OOM shed) or one stall cause (the live-segment cap, error containment,
+RAFT record starvation; the pressure scenarios also stall the main on
+pressure and block checkers on memory), and prints one
+``<scenario> <sha256>`` line per run.  The hash covers the canonical
+JSON of ``stats.to_dict()``, stdout, stderr, the phase profile
+(per-phase and per-segment cycle ledgers, stall seconds) and every
+trace event's ``(ts, kind, pid, role, core, segment, payload)`` in
 order, so two source trees that print the same lines behave identically
 on these paths down to the last event.  Each scenario asserts that it
 still exercises its path, so the coverage cannot silently vanish.
@@ -81,6 +84,18 @@ func main() {
         }
         print_int(acc % 1000003);
     }
+}
+"""
+
+STARVATION_SOURCE = """
+global acc;
+func main() {
+    var i; var j;
+    for (i = 0; i < 25; i = i + 1) {
+        acc = acc + getpid() % 3 + gettimeofday() % 5;
+        for (j = 0; j < 1500; j = j + 1) { acc = acc + 1; }
+    }
+    print_int(acc % 1000003);
 }
 """
 
@@ -295,6 +310,35 @@ def tmr_pressure():
     return runtime, stats
 
 
+def stall_cap():
+    config = ParallaftConfig(slicing_period=20_000_000, max_live_segments=2)
+    runtime, stats = run(MODES_SOURCE, config)
+    require(kinds(runtime, tev.MAIN_STALL, reason=tev.STALL_CAP)
+            and kinds(runtime, tev.MAIN_WAKE, reason=tev.STALL_CAP)
+            and not stats.errors, "main stalls at the live-segment cap")
+    return runtime, stats
+
+
+def stall_containment():
+    config = ParallaftConfig(slicing_period=20_000_000,
+                             error_containment=True)
+    runtime, stats = run(MODES_SOURCE, config)
+    require(kinds(runtime, tev.SYSCALL_HELD)
+            and kinds(runtime, tev.MAIN_STALL, reason=tev.STALL_CONTAINMENT)
+            and kinds(runtime, tev.MAIN_WAKE, reason=tev.STALL_CONTAINMENT)
+            and not stats.errors, "syscalls held for containment")
+    return runtime, stats
+
+
+def raft_starvation():
+    runtime, stats = run(STARVATION_SOURCE, get_mode("raft").make_config())
+    # The reason is spelled out: older trees have no constant for it.
+    require(kinds(runtime, tev.CHECKER_STALL, reason="record_starvation")
+            and kinds(runtime, tev.CHECKER_WAKE) and not stats.errors,
+            "a RAFT checker starved of records")
+    return runtime, stats
+
+
 SCENARIOS = {
     "rollback": rollback,
     "retry": retry,
@@ -305,6 +349,9 @@ SCENARIOS = {
     "pressure-0.7": pressure(0.7),
     "pressure-oom": pressure_oom,
     "tmr-pressure": tmr_pressure,
+    "stall-cap": stall_cap,
+    "stall-containment": stall_containment,
+    "raft-starvation": raft_starvation,
 }
 
 

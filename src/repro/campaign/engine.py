@@ -10,7 +10,7 @@ or as a **fleet** of forked worker processes, one shard at a time per
 worker, under supervision:
 
 * **heartbeats** — each worker beats on a side thread; a worker that
-  stops beating (wedged, SIGSTOPped) past ``heartbeat_timeout`` is
+  stops beating (wedged, SIGSTOPped) past ``HEARTBEAT_TIMEOUT`` is
   killed and its shard retried;
 * **straggler detection** — a task running far past the median completed
   task duration is flagged (``counter.campaign.stragglers``) without
@@ -24,8 +24,8 @@ worker, under supervision:
   shard forever.
 
 Every finished task is streamed to a durable JSONL journal
-(:mod:`repro.core.journal`: per-record seq + XXH3 checksums,
-``flush_every_n`` / ``fsync_every_n`` cadence), so a campaign interrupted
+(:mod:`repro.core.journal`: per-record seq + XXH3 checksums, flushed
+after every record and never fsynced), so a campaign interrupted
 by the death of a worker *or the supervisor itself* resumes from the
 journal with completed tasks skipped — and, because task seeds depend
 only on ``(campaign_seed, shard, index)``, the resumed fleet's merged
@@ -70,6 +70,16 @@ JOURNAL_VERSION = 1
 DISP_COMPLETED = "completed"
 DISP_FAILED = "failed"
 DISP_QUARANTINED = "quarantined"
+
+#: Seconds between a worker's heartbeats.
+HEARTBEAT_INTERVAL = 0.2
+#: A worker silent for this many seconds is killed and its shard retried.
+HEARTBEAT_TIMEOUT = 60.0
+#: A task running longer than ``STRAGGLER_FACTOR`` times the median
+#: completed-task duration (floored at ``STRAGGLER_MIN_SECONDS``) is
+#: flagged as a straggler.
+STRAGGLER_FACTOR = 4.0
+STRAGGLER_MIN_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -242,14 +252,8 @@ class CampaignEngine:
                  resume: bool = False,
                  workers: int = 0,
                  max_task_attempts: int = 3,
-                 heartbeat_interval: float = 0.2,
-                 heartbeat_timeout: float = 60.0,
                  backoff_base: float = 0.05,
                  backoff_cap: float = 2.0,
-                 straggler_factor: float = 4.0,
-                 straggler_min_seconds: float = 1.0,
-                 flush_every_n: int = 1,
-                 fsync_every_n: Optional[int] = None,
                  metrics_snapshot: Optional[
                      Callable[[], Dict[str, Any]]] = None,
                  registry: Optional[MetricRegistry] = None):
@@ -266,14 +270,8 @@ class CampaignEngine:
         self.resume = resume
         self.workers = workers
         self.max_task_attempts = max_task_attempts
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.straggler_factor = straggler_factor
-        self.straggler_min_seconds = straggler_min_seconds
-        self.flush_every_n = flush_every_n
-        self.fsync_every_n = fsync_every_n
         self.metrics_snapshot = metrics_snapshot
         self.run_task = run_task
         self.registry = registry if registry is not None else MetricRegistry()
@@ -385,10 +383,8 @@ class CampaignEngine:
         self._writer: Optional[JournalWriter] = None
         if self.journal_path is not None:
             fresh = self._journal_seq == 0
-            self._writer = JournalWriter(
-                self.journal_path, flush_every_n=self.flush_every_n,
-                fsync_every_n=self.fsync_every_n,
-                start_seq=self._journal_seq)
+            self._writer = JournalWriter(self.journal_path,
+                                         start_seq=self._journal_seq)
             if fresh:
                 self._writer.append(self._header())
 
@@ -509,7 +505,7 @@ class CampaignEngine:
                 target=_worker_main,
                 args=(state.shard, tasks, self.run_task,
                       state.segment_path, state.hb_path,
-                      self.heartbeat_interval, self.metrics_snapshot))
+                      HEARTBEAT_INTERVAL, self.metrics_snapshot))
             process.start()
             now = time.monotonic()
             state.process = process
@@ -563,8 +559,7 @@ class CampaignEngine:
                         else:
                             self._crashed(state, records, waiting)
                         continue
-                    if self.heartbeat_timeout is not None and \
-                            now - state.last_beat > self.heartbeat_timeout:
+                    if now - state.last_beat > HEARTBEAT_TIMEOUT:
                         state.outcome.heartbeat_timeouts += 1
                         self._count("heartbeat_timeouts")
                         process.kill()
@@ -709,8 +704,7 @@ class CampaignEngine:
             return
         durations = sorted(self._done_durations)
         median = durations[len(durations) // 2] if durations else 0.0
-        threshold = self.straggler_factor * max(
-            median, self.straggler_min_seconds)
+        threshold = STRAGGLER_FACTOR * max(median, STRAGGLER_MIN_SECONDS)
         if now - state.current_started > threshold:
             state.flagged_stragglers.add(state.current_task)
             state.outcome.stragglers += 1

@@ -37,12 +37,10 @@ their segments) but lets a main OOM stand as the run's distinct exit class.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro import abi
 from repro.core.segment import Segment, SegmentStatus
-from repro.kernel.process import ProcessState
-from repro.metrics import phases as mph
 from repro.trace import events as tev
 
 if TYPE_CHECKING:
@@ -81,13 +79,10 @@ class PressureController:
         #: emergency reclaim: runs inside a failing allocation.
         self.pool.reclaim_hook = self._emergency_reclaim
         #: stage-1 state: engaged = episode active; the main is only
-        #: *applied* (made WAITING) when that cannot deadlock the sim.
+        #: *applied* (parked) when that cannot deadlock the sim.
         self.stall_engaged = False
         #: segments whose checkers were shed, awaiting a respawn.
         self._parked: List[Segment] = []
-        #: checkers blocked on a failed allocation (pid -> process), held
-        #: on the faulting store until retirements free frames.
-        self._blocked: Dict[int, "Process"] = {}
         #: True while the ladder runs inside a failing allocation; the
         #: stage-1 stall must not park the allocator mid-quantum (it is
         #: applied at the next poll instead).
@@ -140,7 +135,7 @@ class PressureController:
             self.respawn_parked()
 
     def _update_rate(self, main: "Process") -> None:
-        progress = self.rt._main_progress_units(main)
+        progress = self.rt.main_progress_units(main)
         allocated = self.pool.frames_allocated
         delta_progress = progress - self._last_progress
         if delta_progress <= 0:
@@ -171,44 +166,33 @@ class PressureController:
         if self._stage_reached >= stage:
             return
         self._stage_reached = stage
-        self.rt._emit(kind, stage=stage, skipped=True)
+        self.rt.emit(kind, stage=stage, skipped=True)
 
     def _engage_stall(self) -> None:
         self.stall_engaged = True
         self.note_stage(1)
         self.rt.stats.pressure_stalls += 1
-        self.rt._emit(tev.PRESSURE_STALL, proc=self.rt.main, stage=1,
-                      resident=self.pool.resident_bytes,
-                      budget=self.pool.budget_bytes)
+        self.rt.emit(tev.PRESSURE_STALL, proc=self.rt.main, stage=1,
+                     resident=self.pool.resident_bytes,
+                     budget=self.pool.budget_bytes)
         self._apply_stall()
 
     def _apply_stall(self) -> None:
         """Actually park the main, if that cannot deadlock the machine:
         some *other* runnable placed process must exist to keep virtual
-        time advancing (and eventually release us)."""
+        time advancing (and eventually release us).  Pressure is a stall
+        cause of its own, distinct from the containment stall —
+        conflating them hides which subsystem is holding the main back."""
         rt = self.rt
         main = rt.main
-        if (self._in_emergency or rt._main_stalled_on_pressure
-                or main is None or not main.alive
-                or main.state is not ProcessState.RUNNING):
+        if (self._in_emergency or main is None or not main.runnable
+                or not rt.any_runnable(besides=main)):
             return
-        others = any(p.runnable and p.core is not None and p is not main
-                     for p in rt.kernel.processes.values())
-        if not others:
-            return
-        rt._main_stalled_on_pressure = True
-        main.state = ProcessState.WAITING
-        # Pressure backpressure is a phase of its own, distinct from the
-        # containment stall — conflating them hides which subsystem is
-        # holding the main back.
-        rt.profiler.open_span(main.pid, mph.PRESSURE_STALL)
-        rt._emit(tev.MAIN_STALL, proc=main,
-                 segment=rt.current.index if rt.current else None,
-                 reason=tev.STALL_PRESSURE)
+        rt.stall(main, tev.STALL_PRESSURE)
 
     def _release_stall(self) -> None:
         self.stall_engaged = False
-        self.rt._maybe_wake_stalled_main()
+        self.rt.wake_main()
 
     def force_release_stall(self) -> None:
         """Liveness override (from the OOM path): give up the stage-1
@@ -244,8 +228,6 @@ class PressureController:
         ``cause="oom", freed=0``).
         """
         before = self.pool.resident_bytes
-        for replica in segment.replicas:
-            self._blocked.pop(replica.process.pid, None)
         self.rt.drop_replicas(segment, exit_code=128 + abi.SIGKILL)
         segment.sheds += 1
         segment.status = SegmentStatus.READY
@@ -253,8 +235,8 @@ class PressureController:
         self.note_stage(2)
         self.rt.stats.pressure_sheds += 1
         payload.setdefault("freed", before - self.pool.resident_bytes)
-        self.rt._emit(tev.PRESSURE_SHED, segment=segment.index, stage=2,
-                      **payload)
+        self.rt.emit(tev.PRESSURE_SHED, segment=segment.index, stage=2,
+                     **payload)
 
     def _shed_one(self) -> bool:
         """Stage 2 on the ladder: shed the youngest running segment."""
@@ -288,8 +270,8 @@ class PressureController:
         rt.evict_checkpoint(victim)
         self.note_stage(3)
         rt.stats.pressure_evictions += 1
-        rt._emit(tev.EVICT, segment=victim.index, stage=3,
-                 freed=before - self.pool.resident_bytes)
+        rt.emit(tev.EVICT, segment=victim.index, stage=3,
+                freed=before - self.pool.resident_bytes)
         return True
 
     def _adapt(self) -> bool:
@@ -311,25 +293,19 @@ class PressureController:
         self._adapted_period = period
         self.note_stage(4)
         self.rt.stats.pressure_adaptations += 1
-        self.rt._emit(tev.PRESSURE_ADAPT, stage=4, period=period,
-                      dirty_rate=self._dirty_rate)
+        self.rt.emit(tev.PRESSURE_ADAPT, stage=4, period=period,
+                     dirty_rate=self._dirty_rate)
         return True
 
     # ------------------------------------------------------ respawn / liveness
 
-    def block_checker(self, proc: "Process", segment: Segment) -> None:
-        """Hold a checker on its faulting store (kernel found the stop
-        resumable): it retries once retirements free frames."""
-        proc.state = ProcessState.WAITING
-        self._blocked[proc.pid] = proc
-        self.rt.profiler.open_span(proc.pid, mph.CHECKER_STALL)
-        self.rt._emit(tev.CHECKER_STALL, proc=proc, segment=segment.index,
-                      reason="memory")
-
     def _wake_blocked(self, force: bool = False) -> None:
-        """Resume blocked checkers once utilisation leaves the escalation
-        band (their retried stores re-enter reclaim if it returns)."""
-        if not self._blocked:
+        """Resume the checkers the runtime parked on a failed allocation
+        (``memory`` stalls), in the order they blocked, once utilisation
+        leaves the escalation band (their retried stores re-enter reclaim
+        if it returns)."""
+        blocked = self.rt.stalled(tev.STALL_MEMORY)
+        if not blocked:
             return
         if not force:
             if self._util() >= HIGH_WATERMARK:
@@ -341,17 +317,8 @@ class PressureController:
                     and (self.pool.budget_bytes - self.pool.resident_bytes)
                     < self.pool.page_size):
                 return
-        for pid in list(self._blocked):
-            proc = self._blocked.pop(pid)
-            if not proc.alive or proc.state is not ProcessState.WAITING:
-                continue
-            proc.state = ProcessState.RUNNING
-            proc.ready_time = max(proc.ready_time,
-                                  self.rt.executor.current_time)
-            self.rt.profiler.close_span(pid)
-            segment = self.rt.segment_of_checker.get(pid)
-            self.rt._emit(tev.CHECKER_WAKE, proc=proc,
-                          segment=segment.index if segment else None)
+        for proc in blocked:
+            self.rt.wake(proc)
 
     def respawn_parked(self, force: bool = False) -> None:
         """Re-fork one parked segment's checker (all of them when forced).
@@ -369,26 +336,17 @@ class PressureController:
                 continue
             allowed = (force
                        or self._util() < HIGH_WATERMARK
-                       or not self._any_checker_runnable())
+                       or not rt.any_runnable(role="checker"))
             if not allowed:
                 break
             self._parked.pop(0)
-            rt._respawn_checker(
+            rt.respawn_replicas(
                 segment,
                 f"checker-{segment.index}-shed{segment.sheds}",
                 cause="pressure_requeue")
             if not force:
                 break
         self._ensure_liveness()
-
-    def _anything_runnable(self) -> bool:
-        return any(p.runnable and p.core is not None
-                   for p in self.rt.kernel.processes.values())
-
-    def _any_checker_runnable(self) -> bool:
-        return any(p.runnable and p.core is not None
-                   and self.rt.roles.get(p.pid) == "checker"
-                   for p in self.rt.kernel.processes.values())
 
     def _ensure_liveness(self) -> None:
         """Nothing runnable must never be a terminal state while work
@@ -397,15 +355,13 @@ class PressureController:
         run over budget (allocations then fail into the OOM path, which
         is the designed outcome — never a hang)."""
         rt = self.rt
-        if self._anything_runnable():
+        if rt.any_runnable():
             return
-        if self._blocked:
-            self._wake_blocked(force=True)
-            if self._anything_runnable():
-                return
-        main = rt.main
-        if (self.stall_engaged and main is not None and main.alive
-                and main.state is ProcessState.WAITING):
+        self._wake_blocked(force=True)
+        if rt.any_runnable():
+            return
+        if (self.stall_engaged and rt.main is not None
+                and rt.stall_cause(rt.main) is not None):
             self._release_stall()
 
     def on_checker_exit(self) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import abi
 from repro.common.errors import (
@@ -76,6 +76,34 @@ from repro.trace import events as tev
 #: Fresh-checker re-checks of one failed segment (``retry_failed_checkers``
 #: / recovery) before the failure implicates the main.
 MAX_CHECKER_RETRIES = 1
+
+
+class StallCause(NamedTuple):
+    """What one reason to park a process decides."""
+
+    #: Profiler phase the waiting time is charged to.
+    phase: str
+    #: For a main cause, the predicate (over the runtime) that holds the
+    #: main back: :meth:`Parallaft.wake_main` wakes it once this clears.
+    #: None for a checker cause, which the event that ends it wakes (a
+    #: record append or segment release, freed frames).
+    holds: Optional[Callable[["Parallaft"], bool]] = None
+
+
+#: Every reason a process is parked, keyed by the ``reason`` its events
+#: carry.  Main causes emit ``main_stall``/``main_wake``, checker causes
+#: ``checker_stall``/``checker_wake``.
+STALL_CAUSES: Dict[str, StallCause] = {
+    tev.STALL_CONTAINMENT: StallCause(
+        mph.CONTAINMENT_STALL, lambda rt: rt._containment_blocked()),
+    tev.STALL_CAP: StallCause(
+        mph.CAP_STALL,
+        lambda rt: rt._live_segments() >= rt.config.max_live_segments),
+    tev.STALL_PRESSURE: StallCause(
+        mph.PRESSURE_STALL, lambda rt: rt.pressure.stall_engaged),
+    tev.STALL_RECORD_STARVATION: StallCause(mph.CHECKER_STALL),
+    tev.STALL_MEMORY: StallCause(mph.CHECKER_STALL),
+}
 
 
 class Parallaft(Tracer):
@@ -174,10 +202,9 @@ class Parallaft(Tracer):
         #: (MAP_FIXED) replay call completes, so checker registers stay
         #: bit-identical to the main's.
         self._checker_restore_regs: Dict[int, Tuple[int, ...]] = {}
-        self._stalled_checkers: Set[int] = set()
-        self._main_stalled_on_cap = False
-        self._main_stalled_for_containment = False
-        self._main_stalled_on_pressure = False
+        #: pid -> stall cause (a STALL_CAUSES key) of every parked live
+        #: process, in the order they were parked.
+        self._stalls: Dict[int, str] = {}
         self._terminated = False
         #: Latched at the first INTEGRITY_FAIL emission: saved state (or
         #: the comparator) proved untrusted, so no rollback may ever run
@@ -259,8 +286,8 @@ class Parallaft(Tracer):
 
     # ----------------------------------------------------------------- tracing
 
-    def _emit(self, kind: str, proc: Optional[Process] = None,
-              segment: Optional[int] = None, **payload) -> None:
+    def emit(self, kind: str, proc: Optional[Process] = None,
+             segment: Optional[int] = None, **payload) -> None:
         """Emit one trace event, resolving pid/role/core from ``proc``."""
         if not self.trace.enabled:
             return
@@ -297,8 +324,8 @@ class Parallaft(Tracer):
         self.current = segment
         segment.log.integrity = self.config.log_checksums
         self.stats.checkpoint_count += 1
-        self._emit(tev.SEGMENT_START, proc=main, segment=segment.index,
-                   checker_pid=checker.pid)
+        self.emit(tev.SEGMENT_START, proc=main, segment=segment.index,
+                  checker_pid=checker.pid)
         # Output the segment produces is only committed once it verifies;
         # a rollback truncates the consoles back to these marks.
         segment.console_mark = self.kernel.console.mark()
@@ -370,9 +397,9 @@ class Parallaft(Tracer):
             segment.end_checkpoint = checkpoint
         segment.ready_time = self.executor.current_time
         segment.status = SegmentStatus.READY
-        self._emit(tev.SEGMENT_READY, proc=main, segment=segment.index,
-                   instructions=segment.main_instructions,
-                   main_exit=end_is_main_exit)
+        self.emit(tev.SEGMENT_READY, proc=main, segment=segment.index,
+                  instructions=segment.main_instructions,
+                  main_exit=end_is_main_exit)
         self.current = None
         self._release_segment(segment)
         if self.recovery is not None:
@@ -400,14 +427,14 @@ class Parallaft(Tracer):
                            + int(segment.main_instructions
                                  * self.config.checker_timeout_scale) + 64)
                 checker.cpu.arm_instr_overflow(timeout)
-            self._emit(tev.SEGMENT_RELEASE, proc=checker,
-                       segment=segment.index)
+            self.emit(tev.SEGMENT_RELEASE, proc=checker,
+                      segment=segment.index)
             if self.config.log_checksums and len(segment.log):
                 # Marker: this replay verifies N checksummed records;
                 # failures surface as INTEGRITY_FAIL at the consuming site.
-                self._emit(tev.INTEGRITY_CHECK, proc=checker,
-                           segment=segment.index, check="log",
-                           records=len(segment.log))
+                self.emit(tev.INTEGRITY_CHECK, proc=checker,
+                          segment=segment.index, check="log",
+                          records=len(segment.log))
             replica.replayer.arm_next()
             # The checker may still be queued for a core: park the setup
             # cost until the scheduler places it.
@@ -417,10 +444,10 @@ class Parallaft(Tracer):
                 phase=mph.RUNTIME)
         # Non-concurrent modes submit to the checker scheduler here.
         self.mode.on_segment_release(self, segment)
+        # The end point is known now: a replica parked on the record log
+        # (RAFT) or on memory resumes.
         for replica in segment.replicas:
-            if replica.process.state == ProcessState.WAITING \
-                    and not replica.reached_end:
-                self._wake_checker(replica.process)
+            self.wake(replica.process)
 
     def _boundary(self) -> None:
         """A slicing boundary: finalize the recording segment, start the
@@ -438,30 +465,11 @@ class Parallaft(Tracer):
                 proc, nbytes * self.kernel.costs.record_per_byte_cycles,
                 phase=mph.RUNTIME)
 
-    def _wake_checker(self, checker: Process) -> None:
-        if checker.state == ProcessState.WAITING:
-            checker.state = ProcessState.RUNNING
-            checker.ready_time = max(checker.ready_time,
-                                     self.executor.current_time)
-            self._stalled_checkers.discard(checker.pid)
-            self.profiler.close_span(checker.pid)
-            segment = self.segment_of_checker.get(checker.pid)
-            self._emit(tev.CHECKER_WAKE, proc=checker,
-                       segment=segment.index if segment else None)
-
-    def _stall_checker(self, checker: Process) -> None:
-        checker.state = ProcessState.WAITING
-        self._stalled_checkers.add(checker.pid)
-        self.profiler.open_span(checker.pid, mph.CHECKER_STALL)
-        segment = self.segment_of_checker.get(checker.pid)
-        self._emit(tev.CHECKER_STALL, proc=checker,
-                   segment=segment.index if segment else None,
-                   reason="record_starvation")
-
     def _record_appended(self, segment: Segment) -> None:
         for replica in segment.replicas:
-            if replica.process.pid in self._stalled_checkers:
-                self._wake_checker(replica.process)
+            if self._stalls.get(replica.process.pid) \
+                    == tev.STALL_RECORD_STARVATION:
+                self.wake(replica.process)
 
     def _drain_signal_records(self, checker: Process) -> None:
         """Inject record-stream signals the main raised against itself.
@@ -500,9 +508,9 @@ class Parallaft(Tracer):
         ROLLBACK ever follows one of these)."""
         self._integrity_failed = True
         self.stats.integrity_failures += 1
-        self._emit(tev.INTEGRITY_FAIL,
-                   segment=segment.index if segment is not None else None,
-                   check=check, detail=detail)
+        self.emit(tev.INTEGRITY_FAIL,
+                  segment=segment.index if segment is not None else None,
+                  check=check, detail=detail)
 
     def _checkpoint_integrity_ok(self, segment: Segment) -> bool:
         """Re-verify the retained recovery checkpoint's fork-time digest.
@@ -525,8 +533,8 @@ class Parallaft(Tracer):
                                  self.kernel.costs.hash_cycles(nbytes),
                                  phase=mph.HASHING)
         ok = digest == segment.checkpoint_digest
-        self._emit(tev.INTEGRITY_CHECK, segment=segment.index,
-                   check="checkpoint", ok=ok)
+        self.emit(tev.INTEGRITY_CHECK, segment=segment.index,
+                  check="checkpoint", ok=ok)
         if not ok:
             self._integrity_fail(
                 "checkpoint", segment,
@@ -615,11 +623,11 @@ class Parallaft(Tracer):
         index = segment.index if segment is not None else -1
         self.stats.errors.append(DetectedError(
             kind, index, detail, self.executor.current_time))
-        self._emit(tev.ERROR, segment=index if index >= 0 else None,
-                   error=kind, detail=detail)
+        self.emit(tev.ERROR, segment=index if index >= 0 else None,
+                  error=kind, detail=detail)
         if segment is not None:
             segment.status = SegmentStatus.FAILED
-            self._emit(tev.SEGMENT_FAILED, segment=segment.index, error=kind)
+            self.emit(tev.SEGMENT_FAILED, segment=segment.index, error=kind)
             for replica in segment.live_replicas():
                 self.kernel.exit_process(replica.process, 1)
             self.sched.on_checker_done(segment)
@@ -628,7 +636,7 @@ class Parallaft(Tracer):
         # the containment stall must be re-evaluated here, else a main
         # stalled behind the failed segment sleeps forever when
         # stop_on_error is off.
-        self._maybe_wake_stalled_main()
+        self.wake_main()
         if self.config.stop_on_error \
                 or kind in ("infra_integrity", "checkpoint_evicted"):
             # Graceful degradation: once integrity is gone the run cannot
@@ -649,11 +657,11 @@ class Parallaft(Tracer):
         if self.config.enable_recovery:
             self.stats.recovery_retries += 1
         self.drop_replicas(segment, exit_code=1)
-        self._respawn_checker(
+        self.respawn_replicas(
             segment, f"checker-{segment.index}-retry{segment.retries}",
             cause=kind)
 
-    def _respawn_checker(self, segment: Segment, name: str,
+    def respawn_replicas(self, segment: Segment, name: str,
                          cause: str) -> None:
         """Fork a fresh replica set for ``segment`` from its retained
         segment-start checkpoint and re-release it (shared by the retry
@@ -668,8 +676,8 @@ class Parallaft(Tracer):
             self.executor.charge_deferred(fresh, cost,
                                           phase=mph.CHECKPOINT_FORK)
         segment.status = SegmentStatus.READY
-        self._emit(tev.CHECKER_RETRY, proc=segment.checker,
-                   segment=segment.index, retry=segment.retries, cause=cause)
+        self.emit(tev.CHECKER_RETRY, proc=segment.checker,
+                  segment=segment.index, retry=segment.retries, cause=cause)
         self._release_segment(segment)
 
     # ------------------------------------------------------ replica lifecycle
@@ -690,12 +698,6 @@ class Parallaft(Tracer):
         segment.add_replica(proc)
         return proc, cost
 
-    def _unmap_checker(self, proc: Process) -> None:
-        """Detach ``proc`` from the runtime's checker maps: its exit no
-        longer reaches the error path and no record append wakes it."""
-        self.segment_of_checker.pop(proc.pid, None)
-        self._stalled_checkers.discard(proc.pid)
-
     def _book_checker_time(self, proc: Process) -> None:
         self.stats.checker_user_time += proc.user_time
         self.stats.checker_sys_time += proc.sys_time
@@ -708,7 +710,8 @@ class Parallaft(Tracer):
         alive (TMR promotes it or drops it)."""
         proc = replica.process
         segment.replicas.remove(replica)
-        self._unmap_checker(proc)
+        # Detached: its exit no longer reaches the error path.
+        self.segment_of_checker.pop(proc.pid, None)
         self._book_checker_time(proc)
         return proc
 
@@ -724,7 +727,7 @@ class Parallaft(Tracer):
         between the kill and the reap.
         """
         proc = replica.process
-        self._unmap_checker(proc)
+        self.segment_of_checker.pop(proc.pid, None)
         if proc.alive:
             self.kernel.exit_process(proc, exit_code)
         if replica not in segment.replicas \
@@ -778,7 +781,7 @@ class Parallaft(Tracer):
         segment.replicas = []
         self.release_checkpoints(segment)
         segment.status = SegmentStatus.ROLLED_BACK
-        self._emit(tev.SEGMENT_ROLLED_BACK, segment=segment.index, **payload)
+        self.emit(tev.SEGMENT_ROLLED_BACK, segment=segment.index, **payload)
 
     def truncate_consoles(self, segment: Segment,
                           emit_empty: bool = False) -> None:
@@ -790,15 +793,15 @@ class Parallaft(Tracer):
                 (self.kernel.stderr_console, "stderr", segment.stderr_mark)):
             if emit_empty or console.mark() > mark:
                 console.truncate(mark)
-                self._emit(tev.CONSOLE_TRUNCATE, segment=segment.index,
-                           stream=stream, length=mark)
+                self.emit(tev.CONSOLE_TRUNCATE, segment=segment.index,
+                          stream=stream, length=mark)
 
     def _terminate_application(self) -> None:
         """An error was detected: terminate the application (paper §4.4)."""
         if self._terminated:
             return
         self._terminated = True
-        self._emit(tev.APP_TERMINATE)
+        self.emit(tev.APP_TERMINATE)
         for proc in list(self.kernel.processes.values()):
             if proc.alive and self.roles.get(proc.pid) in ("main", "checker"):
                 if proc is self.main and proc.exit_code is not None:
@@ -842,24 +845,16 @@ class Parallaft(Tracer):
         classification = syscall_model.classify(sysno)
         if (self.config.error_containment
                 and classification == syscall_model.GLOBAL
-                and self.current is not None
-                and any(s.live for s in self.segments
-                        if s.index < self.current.index)):
+                and self._containment_blocked()):
             # Error containment in the SoR (Table 2 future work): nothing
             # escapes until every earlier segment is verified.  The main
             # stalls here and re-issues the syscall once they retire.
-            self._main_stalled_for_containment = True
-            proc.state = ProcessState.WAITING
-            self.profiler.open_span(proc.pid, mph.CONTAINMENT_STALL)
-            if self.trace.enabled:
-                waiting_on = [s.index for s in self.segments
-                              if s.live and s.index < self.current.index]
-                self._emit(tev.SYSCALL_HELD, proc=proc,
-                           segment=self.current.index, sysno=sysno)
-                self._emit(tev.MAIN_STALL, proc=proc,
-                           segment=self.current.index,
-                           reason=tev.STALL_CONTAINMENT,
-                           waiting_on=waiting_on)
+            self.emit(tev.SYSCALL_HELD, proc=proc,
+                      segment=self.current.index, sysno=sysno)
+            self.stall(proc, tev.STALL_CONTAINMENT,
+                       waiting_on=[s.index for s in self.segments
+                                   if s.live
+                                   and s.index < self.current.index])
             return SyscallAction.emulate(0)
         record = SyscallRecord(sysno, args, classification,
                                replay_passthrough=(classification
@@ -920,9 +915,9 @@ class Parallaft(Tracer):
         self.current.log.append(record)
         self.stats.syscalls_recorded += 1
         if self.trace.enabled:
-            self._emit(tev.SYSCALL_RECORD, proc=proc,
-                       segment=self.current.index, sysno=sysno,
-                       classification=record.classification)
+            self.emit(tev.SYSCALL_RECORD, proc=proc,
+                      segment=self.current.index, sysno=sysno,
+                      classification=record.classification)
             if (sysno == abi.SYS_WRITE and result > 0
                     and record.args[0] in (abi.STDOUT, abi.STDERR)):
                 stream = ("stdout" if record.args[0] == abi.STDOUT
@@ -930,9 +925,9 @@ class Parallaft(Tracer):
                 console = (self.kernel.console if record.args[0] == abi.STDOUT
                            else self.kernel.stderr_console)
                 end = console.mark()
-                self._emit(tev.CONSOLE_WRITE, proc=proc,
-                           segment=self.current.index, stream=stream,
-                           start=end - result, end=end)
+                self.emit(tev.CONSOLE_WRITE, proc=proc,
+                          segment=self.current.index, stream=stream,
+                          start=end - result, end=end)
         self._record_appended(self.current)
 
     def _checker_syscall_entry(self, proc: Process, sysno: int,
@@ -947,7 +942,7 @@ class Parallaft(Tracer):
             if segment.end_point is None:
                 # RAFT-style concurrency: the checker caught up with the
                 # main; block until the record exists.
-                self._stall_checker(proc)
+                self.stall(proc, tev.STALL_RECORD_STARVATION)
                 return SyscallAction.emulate(0)
             self._report_error("syscall_divergence", segment,
                                f"checker issued extra syscall {sysno}",
@@ -985,8 +980,8 @@ class Parallaft(Tracer):
                 return SyscallAction.emulate(-abi.ENOSYS)
         replica.cursor.next()
         self.stats.syscalls_replayed += 1
-        self._emit(tev.SYSCALL_REPLAY, proc=proc, segment=segment.index,
-                   sysno=sysno)
+        self.emit(tev.SYSCALL_REPLAY, proc=proc, segment=segment.index,
+                  sysno=sysno)
         if record.replay_passthrough:
             if record.fixed_args is not None:
                 self._checker_restore_regs[proc.pid] = args
@@ -1084,7 +1079,7 @@ class Parallaft(Tracer):
                 return
             record = replica.cursor.peek()
             if record is None and segment.end_point is None:
-                self._stall_checker(proc)
+                self.stall(proc, tev.STALL_RECORD_STARVATION)
                 return
             if record is not None:
                 problem = self._log_record_problem(replica)
@@ -1171,9 +1166,9 @@ class Parallaft(Tracer):
                             self.executor.current_time
                         segment.status = SegmentStatus.CHECKED
                         self.stats.segments_checked += 1
-                        self._emit(tev.SEGMENT_CHECKED, proc=proc,
-                                   segment=segment.index,
-                                   reproduced_signal=signo)
+                        self.emit(tev.SEGMENT_CHECKED, proc=proc,
+                                  segment=segment.index,
+                                  reproduced_signal=signo)
                         if self.recovery is not None:
                             self.recovery.on_segment_verified(segment)
                 return True
@@ -1188,6 +1183,9 @@ class Parallaft(Tracer):
     # .. lifecycle ..
 
     def on_process_exit(self, proc: Process) -> None:
+        # The kernel closed its stall span; a dead process is no longer
+        # parked.
+        self._stalls.pop(proc.pid, None)
         role = self.roles.get(proc.pid)
         if role == "main":
             if getattr(proc, "oom_killed", False):
@@ -1252,10 +1250,9 @@ class Parallaft(Tracer):
         if segment is None:
             return False
         main = self.main
-        others = any(p.runnable and p.core is not None and p is not proc
-                     for p in self.kernel.processes.values())
-        if not others and self._main_stalled_on_pressure \
-                and main is not None and main.alive:
+        others = self.any_runnable(besides=proc)
+        if not others and main is not None \
+                and self.stall_cause(main) == tev.STALL_PRESSURE:
             # Sacrificing or parking this checker would leave nothing
             # runnable; un-stall the main instead (running over budget
             # beats wedging — its allocations re-enter reclaim).
@@ -1278,7 +1275,7 @@ class Parallaft(Tracer):
             # No checkpoint to respawn from: hold the checker on the
             # faulting store; retirement of other segments frees frames
             # and the pressure controller wakes it to retry.
-            self.pressure.block_checker(proc, segment)
+            self.stall(proc, tev.STALL_MEMORY)
             return True
         # Mid-side-effect (not resumable) and not sheddable: this segment
         # can never be verified within the allowance, so the run ends as
@@ -1289,7 +1286,7 @@ class Parallaft(Tracer):
             self.kernel.oom_kill(main)
         return False
 
-    def _main_progress_units(self, proc: Process) -> float:
+    def main_progress_units(self, proc: Process) -> float:
         """The main's absolute progress in slicing units (cycles), used by
         the pressure controller's dirty-rate estimator."""
         if self.slicing_unit == "cycles":
@@ -1312,7 +1309,7 @@ class Parallaft(Tracer):
                 return
         if not self.mode.slices:
             return
-        if self._main_stalled_on_pressure:
+        if self.stall_cause(proc) == tev.STALL_PRESSURE:
             # Stage-1 backpressure put the main to sleep this quantum; the
             # boundary decision waits until the stall releases.
             return
@@ -1335,11 +1332,7 @@ class Parallaft(Tracer):
         if self._live_segments() >= self.config.max_live_segments:
             # Detection-latency bound (§3.4): stall the main until a
             # segment retires rather than growing the live set.
-            self._main_stalled_on_cap = True
-            proc.state = ProcessState.WAITING
-            self.profiler.open_span(proc.pid, mph.CAP_STALL)
-            self._emit(tev.MAIN_STALL, proc=proc, segment=segment.index,
-                       reason=tev.STALL_CAP)
+            self.stall(proc, tev.STALL_CAP)
             return
         self._boundary()
 
@@ -1388,9 +1381,9 @@ class Parallaft(Tracer):
         self.stats.meek_early_checks += 1
         if not result.match:
             self.stats.meek_early_detections += 1
-        self._emit(tev.COMPARISON, proc=checker, segment=segment.index,
-                   match=result.match, bytes_hashed=result.bytes_hashed,
-                   stage="early")
+        self.emit(tev.COMPARISON, proc=checker, segment=segment.index,
+                  match=result.match, bytes_hashed=result.bytes_hashed,
+                  stage="early")
 
     def _compare_replica(self, segment: Segment, replica,
                          phase: str):
@@ -1420,8 +1413,8 @@ class Parallaft(Tracer):
             # The divergence lives in the early slice: the combined
             # verdict is the AND of the two stages.
             result = early
-        self._emit(tev.COMPARISON, proc=checker, segment=segment.index,
-                   match=result.match, bytes_hashed=result.bytes_hashed)
+        self.emit(tev.COMPARISON, proc=checker, segment=segment.index,
+                  match=result.match, bytes_hashed=result.bytes_hashed)
         return result, union
 
     def _pairwise_boundary_check(self, segment: Segment) -> None:
@@ -1456,9 +1449,9 @@ class Parallaft(Tracer):
                 self.executor.charge(
                     checker, self.kernel.costs.hash_cycles(audit_bytes),
                     phase=mph.HASHING)
-                self._emit(tev.INTEGRITY_CHECK, proc=checker,
-                           segment=segment.index, check="clean_page_audit",
-                           audited=len(audited), ok=not bad)
+                self.emit(tev.INTEGRITY_CHECK, proc=checker,
+                          segment=segment.index, check="clean_page_audit",
+                          audited=len(audited), ok=not bad)
                 if bad:
                     shown = ", ".join(hex(v) for v in bad[:4])
                     detail = (f"clean-page audit: {len(bad)} page(s) "
@@ -1480,8 +1473,8 @@ class Parallaft(Tracer):
         segment.check_finished_time = self.executor.current_time
         segment.status = SegmentStatus.CHECKED
         self.stats.segments_checked += 1
-        self._emit(tev.SEGMENT_CHECKED, proc=segment.checker,
-                   segment=segment.index)
+        self.emit(tev.SEGMENT_CHECKED, proc=segment.checker,
+                  segment=segment.index)
         if self.recovery is not None:
             self.recovery.on_segment_verified(segment)
         self._retire_segment(segment)
@@ -1503,6 +1496,9 @@ class Parallaft(Tracer):
         old_core = old_main.core
         swap(old_main, new_main)
         self.roles.pop(old_main.pid, None)
+        # The swap detached the old main before killing it: no exit hook
+        # forgot its stall.
+        self._stalls.pop(old_main.pid, None)
         self.executor.unassign(old_main)
         self.executor.unassign(new_main)
         self.roles[new_main.pid] = "main"
@@ -1523,9 +1519,6 @@ class Parallaft(Tracer):
         self.current = None
         self._pending_syscall = None
         self._pending_mmap_split = False
-        self._main_stalled_on_cap = False
-        self._main_stalled_for_containment = False
-        self._main_stalled_on_pressure = False
 
     def _retire_segment(self, segment: Segment) -> None:
         if segment.retired:
@@ -1543,8 +1536,8 @@ class Parallaft(Tracer):
             self.kernel.reap(checker)
         self.release_checkpoints(segment)
         self.sched.on_checker_done(segment)
-        self._emit(tev.SEGMENT_RETIRE, segment=segment.index)
-        self._maybe_wake_stalled_main()
+        self.emit(tev.SEGMENT_RETIRE, segment=segment.index)
+        self.wake_main()
         if self.pressure is not None:
             # Retirement frees frames: re-evaluate the stall and give one
             # parked segment a chance to respawn.
@@ -1558,48 +1551,89 @@ class Parallaft(Tracer):
             return False
         return any(s.live for s in self.segments if s.index < current.index)
 
-    def _maybe_wake_stalled_main(self) -> None:
+    # ---------------------------------------------------------------- stalls
+    # The runtime alone parks and wakes processes; the pressure controller
+    # decides when the main is backpressured and when memory-blocked
+    # checkers retry, and calls these.  A replica parked at its end point
+    # is not a stall (see ``_replica_reached_end``).
+
+    def stall(self, proc: Process, cause: str, **payload) -> None:
+        """Park ``proc`` on ``cause`` (a ``STALL_CAUSES`` key): it stops
+        being runnable, its waiting time is charged to the cause's phase
+        and a stall event carrying ``payload`` is emitted.
+
+        A process waits on one cause at a time: parking a parked process
+        again is refused, and it keeps its first cause.  The pair that
+        meets is a main holding a syscall for containment whose quantum
+        ends at a boundary with the cap full; containment clears last
+        (no earlier segment live leaves one live segment), so it is the
+        cause that decides the wake.
+        """
+        if proc.pid in self._stalls:
+            return
+        entry = STALL_CAUSES[cause]
+        self._stalls[proc.pid] = cause
+        proc.state = ProcessState.WAITING
+        self.profiler.open_span(proc.pid, entry.phase)
+        kind = (tev.MAIN_STALL if entry.holds is not None
+                else tev.CHECKER_STALL)
+        self.emit(kind, proc=proc, segment=self._segment_index_of(proc),
+                  reason=cause, **payload)
+
+    def wake(self, proc: Process) -> None:
+        """Make a parked ``proc`` runnable again and emit its wake event;
+        a process that is not parked is left alone."""
+        cause = self._stalls.pop(proc.pid, None)
+        if cause is None:
+            return
+        proc.state = ProcessState.RUNNING
+        proc.ready_time = max(proc.ready_time, self.executor.current_time)
+        self.profiler.close_span(proc.pid)
+        segment = self._segment_index_of(proc)
+        if STALL_CAUSES[cause].holds is not None:
+            self.emit(tev.MAIN_WAKE, proc=proc, segment=segment,
+                      reason=cause)
+        else:
+            self.emit(tev.CHECKER_WAKE, proc=proc, segment=segment)
+
+    def stall_cause(self, proc: Process) -> Optional[str]:
+        """Why ``proc`` is parked, or None if it is not."""
+        return self._stalls.get(proc.pid)
+
+    def stalled(self, cause: str) -> List[Process]:
+        """The processes parked on ``cause``, in the order they parked."""
+        return [self.kernel.processes[pid]
+                for pid, parked_on in self._stalls.items()
+                if parked_on == cause]
+
+    def wake_main(self) -> None:
         """Wake a stalled main iff its stall predicate no longer holds.
 
         Called whenever a segment leaves the live set (retirement or
-        failure).  The wake predicate must be re-checked here rather than
-        waking unconditionally: with ``max_live_segments > 2`` a *later*
-        segment can retire while an earlier one is still unverified, and a
-        containment-stalled main woken then would violate the containment
-        invariant it stalled to preserve.  The held syscall is re-issued,
-        never skipped — the stall left the PC on the syscall instruction,
-        so resuming re-enters ``_main_syscall_entry`` with the (now
-        satisfied) predicate and the syscall executes for real.
+        failure) and when the pressure stall releases.  The wake predicate
+        must be re-checked here rather than waking unconditionally: with
+        ``max_live_segments > 2`` a *later* segment can retire while an
+        earlier one is still unverified, and a containment-stalled main
+        woken then would violate the containment invariant it stalled to
+        preserve.  The held syscall is re-issued, never skipped — the
+        stall left the PC on the syscall instruction, so resuming
+        re-enters ``_main_syscall_entry`` with the (now satisfied)
+        predicate and the syscall executes for real.  A deferred boundary
+        likewise re-fires on the main's next quantum.
         """
         main = self.main
-        if main is None or not main.alive:
-            return
-        if not (self._main_stalled_on_cap
-                or self._main_stalled_for_containment
-                or self._main_stalled_on_pressure):
-            return
-        if self._main_stalled_on_cap \
-                and self._live_segments() >= self.config.max_live_segments:
-            return
-        if self._main_stalled_for_containment and self._containment_blocked():
-            return
-        if self._main_stalled_on_pressure and self.pressure is not None \
-                and self.pressure.stall_engaged:
-            return
-        reason = (tev.STALL_CONTAINMENT if self._main_stalled_for_containment
-                  else tev.STALL_CAP if self._main_stalled_on_cap
-                  else tev.STALL_PRESSURE)
-        self._main_stalled_on_cap = False
-        self._main_stalled_for_containment = False
-        self._main_stalled_on_pressure = False
-        main.state = ProcessState.RUNNING
-        main.ready_time = max(main.ready_time, self.executor.current_time)
-        self.profiler.close_span(main.pid)
-        self._emit(tev.MAIN_WAKE, proc=main,
-                   segment=self.current.index if self.current else None,
-                   reason=reason)
-        # A deferred boundary or held syscall re-fires on the main's next
-        # quantum.
+        cause = self.stall_cause(main) if main is not None else None
+        if cause is not None and not STALL_CAUSES[cause].holds(self):
+            self.wake(main)
+
+    def any_runnable(self, besides: Optional[Process] = None,
+                     role: Optional[str] = None) -> bool:
+        """Is a process other than ``besides`` (with ``role``, if given)
+        runnable on a core?  Parking or sacrificing a process is only
+        safe while one is: something must keep virtual time advancing."""
+        return any(p.runnable and p.core is not None and p is not besides
+                   and (role is None or self.roles.get(p.pid) == role)
+                   for p in self.kernel.processes.values())
 
     # ---------------------------------------------------------------- stats
 

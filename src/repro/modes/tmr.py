@@ -66,6 +66,10 @@ class TmrMode(DetectionMode):
             raise RuntimeConfigError(
                 "TMR absorbs single-replica faults by outvoting them; "
                 "retry_failed_checkers is incompatible")
+        if config.clean_page_audit:
+            raise RuntimeConfigError(
+                "TMR votes over the dirty union only and never runs the "
+                "clean-page audit; clean_page_audit is incompatible")
 
     def boundary_check(self, rt, segment) -> None:
         """All replicas arrived: run the three-way vote."""
@@ -102,15 +106,15 @@ class TmrMode(DetectionMode):
                 rt.kernel.costs.hash_cycles(vote.cross_result.bytes_hashed),
                 phase=mph.VOTE)
         rt.stats.tmr_votes += 1
-        rt._emit(tev.VOTE, segment=segment.index, quorum=vote.quorum,
-                 main_outvoted=vote.main_outvoted)
+        rt.emit(tev.VOTE, segment=segment.index, quorum=vote.quorum,
+                main_outvoted=vote.main_outvoted)
         if vote.quorum >= 2 and not vote.main_outvoted:
             for index in vote.loser_replicas:
                 loser = segment.replicas[index]
                 rt.stats.tmr_outvoted += 1
-                rt._emit(tev.OUTVOTED, proc=loser.process,
-                         segment=segment.index, loser="checker",
-                         cause=results[index].reason or "mismatch")
+                rt.emit(tev.OUTVOTED, proc=loser.process,
+                        segment=segment.index, loser="checker",
+                        cause=results[index].reason or "mismatch")
             rt._segment_verified(segment)
             return
         if vote.main_outvoted:
@@ -141,8 +145,8 @@ class TmrMode(DetectionMode):
         rt.remove_replica(segment, replica)
         rt.drop_replica(segment, replica, 1)
         rt.stats.tmr_outvoted += 1
-        rt._emit(tev.OUTVOTED, segment=segment.index, loser="checker",
-                 cause=kind, detail=detail)
+        rt.emit(tev.OUTVOTED, segment=segment.index, loser="checker",
+                cause=kind, detail=detail)
         if segment.all_replicas_arrived():
             # The survivors already reached the end point; run the
             # (degraded) vote now — nothing else will trigger it.
@@ -187,9 +191,9 @@ class TmrMode(DetectionMode):
         # -- retire the old main (no rollback is counted) --------------
         rt._adopt_main(new_main, rt.kernel.promote_process)
         rt.stats.tmr_forward_recoveries += 1
-        rt._emit(tev.FORWARD_RECOVERY, proc=new_main,
-                 segment=segment.index, winner_pid=new_main.pid,
-                 discarded=[s.index for s in later])
+        rt.emit(tev.FORWARD_RECOVERY, proc=new_main,
+                segment=segment.index, winner_pid=new_main.pid,
+                discarded=[s.index for s in later])
         # The boundary itself is majority-verified.
         rt._segment_verified(segment)
         if main_was_alive:

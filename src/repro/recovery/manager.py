@@ -145,8 +145,8 @@ class RecoveryManager:
         self.rollbacks += 1
         self.rollback_streak += 1
         self.stats.recovery_rollbacks += 1
-        rt._emit(tev.ROLLBACK, proc=old_main, segment=segment.index,
-                 rollbacks=self.rollbacks, streak=self.rollback_streak)
+        rt.emit(tev.ROLLBACK, proc=old_main, segment=segment.index,
+                rollbacks=self.rollbacks, streak=self.rollback_streak)
 
         # Everything the main executed past the verified boundary is lost,
         # and so is every discarded checker's replay.  The segment's

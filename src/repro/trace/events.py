@@ -142,9 +142,14 @@ CHECKER_RETRY = "checker_retry"
 MAIN_STALL = "main_stall"
 MAIN_WAKE = "main_wake"
 SYSCALL_HELD = "syscall_held"
+
+# Stall causes: the ``reason`` of main_stall/main_wake (the first three)
+# and of checker_stall (the last two).
 STALL_CAP = "cap"
 STALL_CONTAINMENT = "containment"
 STALL_PRESSURE = "pressure"
+STALL_RECORD_STARVATION = "record_starvation"
+STALL_MEMORY = "memory"
 
 # Record/replay and checking.
 SYSCALL_RECORD = "syscall_record"

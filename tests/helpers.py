@@ -8,6 +8,7 @@ from repro.isa import Program
 from repro.kernel import Kernel
 from repro.minic import compile_source
 from repro.sim import Executor, PlatformConfig, apple_m2
+from repro.trace import events as tev
 
 
 def make_machine(platform: Optional[PlatformConfig] = None, seed: int = 0,
@@ -46,3 +47,29 @@ def run_minic(source: str, files: Optional[Dict[str, bytes]] = None,
 
 def stdout_of(kernel: Kernel) -> str:
     return kernel.console.text()
+
+
+def corrupt_earlier_live_checker(runtime):
+    """Once the main stalls for containment, flip a bit in the checker of
+    an earlier live segment (so that segment FAILs while the main waits
+    on it).  Returns a one-item list holding the corrupted segment's
+    index once the fault fires."""
+    corrupted = [None]
+
+    def hook(proc, role):
+        if corrupted[0] is not None or role != "checker":
+            return
+        if runtime.stall_cause(runtime.main) != tev.STALL_CONTAINMENT:
+            return
+        current = runtime.current
+        if current is None:
+            return
+        segment = runtime.segment_of_checker.get(proc.pid)
+        if segment is None or segment.index >= current.index \
+                or not segment.live:
+            return
+        proc.cpu.regs.flip_bit("gpr", 8, 13)
+        corrupted[0] = segment.index
+
+    runtime.quantum_hooks.append(hook)
+    return corrupted

@@ -8,6 +8,9 @@ from repro import abi
 from repro.core import Parallaft, ParallaftConfig
 from repro.minic import compile_source
 from repro.sim import apple_m2
+from repro.trace import events as tev
+
+from helpers import corrupt_earlier_live_checker
 
 WORKLOAD = """
 global data[256];
@@ -206,24 +209,7 @@ class TestContainmentWakeRegressions:
         config.max_live_segments = 2
         runtime = Parallaft(compile_source(PRINT_LOOP), config=config,
                             platform=apple_m2())
-        corrupted = [None]
-
-        def hook(proc, role):
-            if corrupted[0] is not None or role != "checker":
-                return
-            if not runtime._main_stalled_for_containment:
-                return
-            current = runtime.current
-            if current is None:
-                return
-            segment = runtime.segment_of_checker.get(proc.pid)
-            if segment is None or segment.index >= current.index \
-                    or not segment.live:
-                return
-            proc.cpu.regs.flip_bit("gpr", 8, 13)
-            corrupted[0] = segment.index
-
-        runtime.quantum_hooks.append(hook)
+        corrupted = corrupt_earlier_live_checker(runtime)
         stats = runtime.run()
         assert corrupted[0] is not None, "fault never fired"
         # The divergence is still reported...
@@ -232,7 +218,13 @@ class TestContainmentWakeRegressions:
         # ...but the application runs to completion with full output.
         assert stats.exit_code == 0
         assert len(stats.stdout.splitlines()) == 6
-        assert not runtime._main_stalled_for_containment
+        # Every stall of the main was woken, the last one included.
+        stalls = [e for e in runtime.trace if e.kind == tev.MAIN_STALL]
+        wakes = [e for e in runtime.trace if e.kind == tev.MAIN_WAKE]
+        assert len(wakes) == len(stalls)
+        assert any(e.payload["reason"] == tev.STALL_CONTAINMENT
+                   for e in stalls)
+        assert runtime.stall_cause(runtime.main) is None
 
     def test_retirement_only_wakes_main_when_no_earlier_segment_live(self):
         """Premature-wake regression: any segment retirement used to
@@ -240,7 +232,6 @@ class TestContainmentWakeRegressions:
         while *other* earlier segments were still unverified.  The wake
         must re-check the stall predicate (the held syscall is then
         re-issued, not skipped)."""
-        from repro.trace import events as tev
         source = """
         global acc;
         func main() {
@@ -284,3 +275,41 @@ class TestContainmentWakeRegressions:
                 if earlier:
                     premature.append((event.segment, earlier))
         assert premature == []
+
+    def test_held_syscall_at_the_cap_keeps_one_stall(self):
+        """A main parked on a held syscall can also reach a slicing
+        boundary with the live-segment cap full.  It stays parked on its
+        first cause: no second ``main_stall``, and each stall is paired
+        with one wake of the same reason.  Containment is the cause that
+        clears last (no earlier segment live leaves only the current
+        one, below any cap of two or more), so it decides the wake."""
+        source = """
+        global data[512];
+        func main() {
+            var i; var round; var acc;
+            acc = 0;
+            for (round = 0; round < 20; round = round + 1) {
+                for (i = 0; i < 512; i = i + 1) {
+                    data[i] = data[i] * 3 + round + i;
+                    acc = acc + data[i];
+                }
+                print_int(acc % 1000003);
+            }
+        }
+        """
+        config = ParallaftConfig(slicing_period=20_000_000,
+                                 error_containment=True,
+                                 max_live_segments=2)
+        runtime = Parallaft(compile_source(source), config=config,
+                            platform=apple_m2())
+        stats = runtime.run()
+        assert not stats.error_detected
+        assert len(stats.stdout.splitlines()) == 20
+        pacing = [e for e in runtime.trace
+                  if e.kind in (tev.MAIN_STALL, tev.MAIN_WAKE)]
+        reasons = {e.payload["reason"] for e in pacing}
+        assert {tev.STALL_CAP, tev.STALL_CONTAINMENT} <= reasons
+        for stall, wake in zip(pacing[::2], pacing[1::2]):
+            assert (stall.kind, wake.kind) == (tev.MAIN_STALL, tev.MAIN_WAKE)
+            assert stall.payload["reason"] == wake.payload["reason"]
+        assert len(pacing) % 2 == 0

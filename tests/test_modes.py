@@ -202,12 +202,13 @@ class TestRegistry:
         with pytest.raises(RuntimeConfigError, match="raft mode"):
             raft.validate()
         for knob in ({"compare_state": False},
-                     {"retry_failed_checkers": True}):
+                     {"retry_failed_checkers": True},
+                     {"clean_page_audit": 4}):
             with pytest.raises(RuntimeConfigError, match="TMR"):
                 get_mode("tmr").make_config(**knob).validate()
         # The same knobs are fine where the mode allows them.
         get_mode("parallaft").make_config(
-            retry_failed_checkers=True).validate()
+            retry_failed_checkers=True, clean_page_audit=4).validate()
 
     def test_make_config_applies_overrides(self):
         config = get_mode("tmr").make_config(meek_split=0.25,

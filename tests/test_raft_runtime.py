@@ -8,6 +8,7 @@ from repro.kernel.process import ProcessState
 from repro.minic import compile_source
 from repro.modes import get_mode
 from repro.sim import apple_m2
+from repro.trace import events as tev
 from repro.workloads import synthetic_source
 
 from helpers import run_minic, stdout_of
@@ -56,6 +57,17 @@ class TestRaftConcurrency:
         """)
         assert not stats.error_detected
         assert stats.syscalls_replayed >= 25
+        events = list(runtime.trace)
+        stalls = [i for i, e in enumerate(events)
+                  if e.kind == tev.CHECKER_STALL]
+        assert stalls
+        for i in stalls:
+            stall = events[i]
+            assert stall.payload["reason"] == tev.STALL_RECORD_STARVATION
+            pacing = [e.kind for e in events[i + 1:]
+                      if e.pid == stall.pid and e.kind in
+                      (tev.CHECKER_STALL, tev.CHECKER_WAKE)]
+            assert pacing[:1] == [tev.CHECKER_WAKE]
 
     def test_single_segment_whole_program(self):
         runtime, stats = raft_run(synthetic_source(total_iters=8000))

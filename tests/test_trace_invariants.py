@@ -28,6 +28,8 @@ from repro.sim import apple_m2
 from repro.trace import InvariantChecker, check_runtime
 from repro.trace import events as tev
 
+from helpers import corrupt_earlier_live_checker
+
 PRINT_LOOP = """
 global acc;
 func main() {
@@ -49,31 +51,6 @@ func main() {
     }
 }
 """
-
-
-def corrupt_earlier_live_checker(runtime):
-    """Once the main stalls for containment, flip a bit in the checker of
-    an earlier live segment (so that segment FAILs while the main waits
-    on it)."""
-    corrupted = [None]
-
-    def hook(proc, role):
-        if corrupted[0] is not None or role != "checker":
-            return
-        if not runtime._main_stalled_for_containment:
-            return
-        current = runtime.current
-        if current is None:
-            return
-        segment = runtime.segment_of_checker.get(proc.pid)
-        if segment is None or segment.index >= current.index \
-                or not segment.live:
-            return
-        proc.cpu.regs.flip_bit("gpr", 8, 13)
-        corrupted[0] = segment.index
-
-    runtime.quantum_hooks.append(hook)
-    return corrupted
 
 
 def corrupt_main_once(runtime):
