@@ -58,8 +58,6 @@ class ParallaftConfig:
     #: Branch-count margin the replay stops short by, to absorb
     #: perf-counter skid (paper §4.2.2).  In simulated branches.
     skid_buffer_branches: int = 64
-    #: Checker is killed after main_instructions * this scale (paper §4.2.2).
-    checker_timeout_scale: float = 1.1
     exec_point_counter: ExecPointCounter = ExecPointCounter.BRANCHES
 
     #: None = pick by platform arch (x86 soft-dirty, aarch64 map-count).
@@ -191,9 +189,6 @@ class ParallaftConfig:
             raise RuntimeConfigError("slicing_period must be positive")
         if self.skid_buffer_branches < 0:
             raise RuntimeConfigError("skid_buffer_branches must be >= 0")
-        if self.checker_timeout_scale <= 1.0:
-            raise RuntimeConfigError(
-                "checker_timeout_scale must exceed 1.0 (counter overcount)")
         if self.checker_cluster not in ("little", "big"):
             raise RuntimeConfigError("checker_cluster must be little or big")
         if self.max_live_segments < 1:

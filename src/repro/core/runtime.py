@@ -77,6 +77,10 @@ from repro.trace import events as tev
 #: / recovery) before the failure implicates the main.
 MAX_CHECKER_RETRIES = 1
 
+#: A checker is killed after its segment's main instruction count times
+#: this scale (paper §4.2.2): above 1 to absorb counter overcount.
+CHECKER_TIMEOUT_SCALE = 1.1
+
 
 class StallCause(NamedTuple):
     """What one reason to park a process decides."""
@@ -420,12 +424,12 @@ class Parallaft(Tracer):
                 self.config.exec_point_counter,
                 branch_base=segment.start_branches,
                 instr_base=segment.start_instructions)
-            # 1.1x instruction timeout (paper §4.2.2): kills checkers whose
-            # control flow was corrupted into never reaching the end point.
+            # Instruction timeout: kills checkers whose control flow was
+            # corrupted into never reaching the end point.
             if self.config.exec_point_counter == ExecPointCounter.BRANCHES:
                 timeout = (segment.start_instructions
                            + int(segment.main_instructions
-                                 * self.config.checker_timeout_scale) + 64)
+                                 * CHECKER_TIMEOUT_SCALE) + 64)
                 checker.cpu.arm_instr_overflow(timeout)
             self.emit(tev.SEGMENT_RELEASE, proc=checker,
                       segment=segment.index)
@@ -1633,7 +1637,7 @@ class Parallaft(Tracer):
         safe while one is: something must keep virtual time advancing."""
         return any(p.runnable and p.core is not None and p is not besides
                    and (role is None or self.roles.get(p.pid) == role)
-                   for p in self.kernel.processes.values())
+                   for p in self.kernel.unreaped.values())
 
     # ---------------------------------------------------------------- stats
 

@@ -18,8 +18,13 @@ paths with identical results:
   function.  The counters then advance by the block's instruction, memory
   op and branch counts, and a final branch that reaches the branch
   overflow target arms delivery exactly as the single-step loop would.  A
-  fault at block index ``k`` retires exactly the ``k`` instructions before
-  it and returns the single-step loop's ``Stop``.
+  block works on registers in locals and reads and writes mapped pages
+  inline; the loop hands it the page table's lookup, the address space's
+  accessors for every other case, and the page geometry.  A fault at
+  block index ``k`` copies back the registers the ``k`` instructions
+  before it wrote, retires exactly those ``k`` and returns the single-step
+  loop's ``Stop``.  A page size that is not a power of two keeps the whole
+  run on the single-step loop.
 * **Single step.**  Everything else — non-leader pcs (a quantum resumed
   mid-block, a handler entry), breakpoints, the last instructions before
   a counter target or the budget, stopping instructions — runs one
@@ -29,7 +34,7 @@ paths with identical results:
 from __future__ import annotations
 
 from repro.common.errors import FramePoolExhausted
-from repro.cpu.blocks import fcvtzs, pack_double, partition, unpack_double
+from repro.cpu.blocks import fcvtzs, partition
 from repro.cpu.exceptions import Fault, FaultKind, Stop, StopReason
 from repro.isa.instructions import FDIV, MEMORY_OPCODES
 from repro.mem.address_space import PageFault
@@ -71,13 +76,17 @@ def run(proc, budget: int) -> Stop:
     cpu.bp_skip_pc = None
     trap_nondet = cpu.trap_nondet
 
-    blocks = None if bps else mem.blocks
+    page_size = mem.page_size
+    # Inline page access shifts and masks: power-of-two pages only.
+    blocks = None if bps or page_size & (page_size - 1) else mem.blocks
     if blocks is not None:
         if not blocks:
             blocks.update(partition(code, code_base, pc))
+        pg = mem.pages.get
         ld, st, lb, sb = (mem.load_word, mem.store_word, mem.load_byte,
                           mem.store_byte)
-        rd, wr = mem.read_bytes, mem.write_bytes
+        ldd, sd = mem.load_double, mem.store_double
+        sh, mk, lim = page_size.bit_length() - 1, page_size - 1, page_size - 8
 
     executed = 0
     stop = None
@@ -92,9 +101,10 @@ def run(proc, budget: int) -> Stop:
                         and end <= instr_ovf_at:
                     try:
                         pc = (block.fn or block.compile(code, code_base))(
-                            regs, fregs, vregs, ld, st, lb, sb, rd, wr)
+                            regs, fregs, vregs, pg, ld, st, lb, sb, ldd, sd,
+                            sh, mk, lim)
                     except _BLOCK_FAULTS as exc:
-                        k = block.fault_index(exc)
+                        k = block.unwind(exc, regs, fregs)
                         first = block.start
                         mc += sum(instr.op in MEMORY_OPCODES
                                   for instr in code[first:first + k])
@@ -273,13 +283,11 @@ def run(proc, budget: int) -> Stop:
                         break
                     fregs[instr.a] = fregs[instr.b] / divisor
                 elif op == 43:  # FLD
-                    address = regs[instr.b] + instr.imm
-                    fregs[instr.a] = unpack_double(
-                        mem.read_bytes(address, 8))[0]
+                    fregs[instr.a] = mem.load_double(regs[instr.b] + instr.imm)
                     mc += 1
                 elif op == 44:  # FST
-                    address = regs[instr.b] + instr.imm
-                    mem.write_bytes(address, pack_double(fregs[instr.a]))
+                    mem.store_double(regs[instr.b] + instr.imm,
+                                     fregs[instr.a])
                     mc += 1
                 elif op == 45:  # FLI
                     fregs[instr.a] = float(instr.imm)

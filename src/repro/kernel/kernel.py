@@ -10,6 +10,7 @@ delivery, soft-dirty clearing, ``PAGEMAP_SCAN``-style map counting, ASLR'd
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -52,6 +53,26 @@ class CounterModel:
     skid_probability: float = 0.5    # chance a given overflow skids at all
 
 
+#: Bytes ``random_bytes`` draws at once: a draw holds four times as many
+#: bytes of int and of its byte string while it is split.
+_RANDOM_CHUNK = 4096
+
+
+def random_bytes(rng: random.Random, length: int) -> bytes:
+    """``length`` bytes from ``rng``, drawn in chunks.
+
+    The same bytes, leaving ``rng`` in the same state, as
+    ``bytes(rng.getrandbits(8) for _ in range(length))``: each per-byte
+    draw takes one 32-bit output and keeps its top byte, and one
+    ``getrandbits(32 * n)`` packs the next ``n`` outputs little-endian.
+    """
+    chunks = []
+    for start in range(0, length, _RANDOM_CHUNK):
+        n = min(_RANDOM_CHUNK, length - start)
+        chunks.append(rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4])
+    return b"".join(chunks)
+
+
 class Kernel:
     """Owns the machine's software state.  One kernel per simulation."""
 
@@ -71,7 +92,12 @@ class Kernel:
         self.vfs = Vfs(self.rng.stream("urandom"))
         self.console = Console()
         self.stderr_console = Console("stderr")
+        #: Every process ever created: reaped ones stay for their exit
+        #: codes.
         self.processes: Dict[int, Process] = {}
+        #: The processes not yet reaped, in creation order: the only ones
+        #: that can run, so the scheduler scans this view.
+        self.unreaped: Dict[int, Process] = {}
         self._next_pid = 1000
         #: Virtual-time source; the executor installs the real one.
         self.time_fn: Callable[[], float] = lambda: 0.0
@@ -111,7 +137,7 @@ class Kernel:
         proc.install_fd(self.console, abi.STDOUT)
         proc.install_fd(self.stderr_console, abi.STDERR)
         self.bind_nondet(proc)
-        self.processes[pid] = proc
+        self.processes[pid] = self.unreaped[pid] = proc
         return proc
 
     def fork(self, proc: Process, name: Optional[str] = None,
@@ -138,7 +164,7 @@ class Kernel:
         if paused:
             child.state = ProcessState.PAUSED
         self.bind_nondet(child)
-        self.processes[pid] = child
+        self.processes[pid] = self.unreaped[pid] = child
         self.stats["forks"] += 1
         cost = self.costs.fork_cycles(proc.mem.mapped_pages)
         if self.trace.enabled:
@@ -208,11 +234,12 @@ class Kernel:
             return
         proc.mem.destroy()
         proc.state = ProcessState.DEAD
+        del self.unreaped[proc.pid]
         if self.trace.enabled:
             self.trace.emit(tev.PROCESS_REAP, pid=proc.pid)
 
     def live_processes(self) -> List[Process]:
-        return [p for p in self.processes.values() if p.alive]
+        return [p for p in self.unreaped.values() if p.alive]
 
     def rollback_to_checkpoint(self, old_main: Process,
                                checkpoint: Process) -> Process:
@@ -475,8 +502,7 @@ class Kernel:
         addr, length = args[0], args[1]
         if length < 0:
             return -abi.EINVAL, 0.0
-        rng = self.rng.stream("getrandom")
-        data = bytes(rng.getrandbits(8) for _ in range(length))
+        data = random_bytes(self.rng.stream("getrandom"), length)
         proc.mem.write_bytes(addr, data)
         return length, length * self.costs.syscall_per_byte_cycles
 

@@ -49,9 +49,11 @@ MMAP_CEILING = 0x6000_0000
 #: ASLR entropy window, in pages.
 ASLR_WINDOW_PAGES = 4096
 
-# Little-endian 64-bit word access straight on a frame's bytearray.
+# Little-endian 64-bit word and double access straight on a frame's
+# bytearray.
 _unpack_word = struct.Struct("<q").unpack_from
 _pack_word = struct.Struct("<Q").pack_into
+_DOUBLE = struct.Struct("<d")
 
 
 class PageFault(Exception):
@@ -310,6 +312,26 @@ class AddressSpace:
         if pte is None or pte.cow or not pte.writable or not pte.soft_dirty:
             pte, offset = self._pte_for_write(address)
         _pack_word(pte.frame.data, offset, value & 0xFFFF_FFFF_FFFF_FFFF)
+
+    def load_double(self, address: int) -> float:
+        """``fld``: a little-endian double at any alignment."""
+        vpn, offset = divmod(address, self.page_size)
+        pte = self.pages.get(vpn)
+        if pte is None or offset > self.page_size - 8:
+            # Unmapped, or crossing into the next page.
+            return _DOUBLE.unpack(self.read_bytes(address, 8))[0]
+        return _DOUBLE.unpack_from(pte.frame.data, offset)[0]
+
+    def store_double(self, address: int, value: float) -> None:
+        """``fst``: a little-endian double at any alignment."""
+        vpn, offset = divmod(address, self.page_size)
+        if offset > self.page_size - 8:   # crosses into the next page
+            self.write_bytes(address, _DOUBLE.pack(value))
+            return
+        pte = self.pages.get(vpn)
+        if pte is None or pte.cow or not pte.writable or not pte.soft_dirty:
+            pte, offset = self._pte_for_write(address)
+        _DOUBLE.pack_into(pte.frame.data, offset, value)
 
     def load_byte(self, address: int) -> int:
         pte, offset = self._pte_for_read(address)

@@ -79,11 +79,17 @@ class DetectionMode:
     def validate_config(self, config: "ParallaftConfig") -> None:
         """Reject config combinations this mode cannot run; called by
         ``ParallaftConfig.validate``.  Rollback recovery needs the
-        per-segment checkpoints that only a slicing mode takes."""
+        per-segment checkpoints that only a slicing mode takes.  A slicing
+        main opens its next segment before the last one retires, so a
+        live-segment cap of 1 would park it at its first boundary forever."""
         if config.enable_recovery and not self.slices:
             raise RuntimeConfigError(
                 f"recovery requires segment checkpoints; the {self.name} "
                 f"mode has none")
+        if self.slices and config.max_live_segments < 2:
+            raise RuntimeConfigError(
+                f"the {self.name} mode slices the run into segments; "
+                f"max_live_segments must be >= 2")
 
     # ------------------------------------------------- lifecycle hooks
 

@@ -223,7 +223,7 @@ class Executor:
     # -- the step loop -----------------------------------------------------------------
 
     def _candidates(self) -> List[Process]:
-        return [p for p in self.kernel.processes.values()
+        return [p for p in self.kernel.unreaped.values()
                 if p.runnable and p.core is not None]
 
     def step(self) -> bool:

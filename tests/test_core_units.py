@@ -11,6 +11,7 @@ from repro.core import (
     SyscallRecord,
 )
 from repro.core import syscall_model
+from repro.core.runtime import CHECKER_TIMEOUT_SCALE
 from repro.core.stats import DetectedError, RunStats
 from repro.common.errors import RuntimeConfigError
 from repro.modes import get_mode
@@ -114,7 +115,7 @@ class TestConfig:
         config = ParallaftConfig()
         config.validate()
         assert config.slicing_period == 5_000_000_000   # §4.1
-        assert config.checker_timeout_scale == 1.1      # §4.2.2
+        assert CHECKER_TIMEOUT_SCALE == 1.1             # §4.2.2
         assert config.checker_cluster == "little"
         assert config.compare_state
 
@@ -131,7 +132,6 @@ class TestConfig:
         ("slicing_period", 0),
         ("slicing_period", -1),
         ("skid_buffer_branches", -1),
-        ("checker_timeout_scale", 1.0),
         ("checker_cluster", "medium"),
         ("max_live_segments", 0),
         ("slicing_unit", "bogomips"),

@@ -15,6 +15,7 @@ from repro.cpu.nondet import (
     NondetSource,
 )
 from repro.kernel import Kernel, KernelCostModel
+from repro.kernel.kernel import random_bytes
 from repro.kernel.vfs import Console, DevUrandom, DevZero, MemFile, NullSink, Vfs
 
 
@@ -148,6 +149,17 @@ class TestRngPool:
     def test_same_name_same_stream(self):
         pool = RngPool(0)
         assert pool.stream("x") is pool.stream("x")
+
+    @pytest.mark.parametrize("length", [0, 1, 3, 4, 7, 64, 1000, 4097])
+    def test_random_bytes_keep_the_per_byte_stream(self, length):
+        """``getrandom``'s one-draw bytes equal one ``getrandbits(8)``
+        per byte, and the generator ends in the same state."""
+        bulk, per_byte = RngPool(7).stream("g"), RngPool(7).stream("g")
+        assert random_bytes(bulk, length) == bytes(
+            per_byte.getrandbits(8) for _ in range(length))
+        assert bulk.getrandbits(64) == per_byte.getrandbits(64)
+        assert random_bytes(bulk, 5) == bytes(
+            per_byte.getrandbits(8) for _ in range(5))
 
 
 class TestAbi:

@@ -233,6 +233,22 @@ class TestRegistry:
             from repro.modes import base
             base._REGISTRY.pop("test-eager")
 
+    @pytest.mark.parametrize("mode", ["parallaft", "tmr", "raft"])
+    def test_live_segment_cap_must_let_a_slicing_main_run(self, mode):
+        """A slicing main opens its next segment before the last one
+        retires: a cap of 1 would park it at its first boundary forever,
+        so slicing modes reject it.  RAFT never slices and keeps 1."""
+        config = get_mode(mode).make_config(max_live_segments=1)
+        if get_mode(mode).slices:
+            with pytest.raises(RuntimeConfigError,
+                               match="max_live_segments must be >= 2"):
+                config.validate()
+            get_mode(mode).make_config(max_live_segments=2).validate()
+        else:
+            config.validate()
+        with pytest.raises(RuntimeConfigError):
+            get_mode(mode).make_config(max_live_segments=0).validate()
+
     def test_tmr_config_forbids_rollback_recovery(self):
         config = get_mode("tmr").make_config()
         config.enable_recovery = True

@@ -6,11 +6,17 @@ compiled-block fast path takes every block that fits, and once with
 keeps every instruction on the single-step loop.  Both runs must agree on
 the non-budget stops in order, the instructions executed, registers (FP
 by bit pattern), pc, every counter, page bytes, ``dirty_marks`` and
-``cow_faults``.
+``cow_faults``.  Every program runs at both page sizes (4 KiB and
+16 KiB): its data offsets are page-relative.
 
-Programs mix the ISA round-trip strategy with the cases a block must stop
-inside exactly: word, byte, FP and vector accesses to a mapped data page,
-loads from unmapped addresses, a vector store running off the page,
+The data region is four pages, one in each state a block's inline store
+must tell apart: copy-on-write shared (and soft-dirty), private and
+dirty, private and clean, and read-only (and soft-dirty).  So each test
+the inline store makes is the only one standing between it and a wrong
+write.  Programs mix the ISA round-trip strategy with the cases a block
+must stop inside exactly: aligned and misaligned word, byte, FP and
+vector accesses near the start and the end of each data page, loads from
+unmapped addresses, FP and vector stores running into the next page,
 division by zero, non-finite FP values, and copy-on-write stores that
 overrun a tiny frame-pool budget.
 """
@@ -18,6 +24,7 @@ overrun a tiny frame-pool budget.
 import math
 import struct
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,12 +32,25 @@ from repro.cpu import CpuContext, StopReason, run
 from repro.isa import Instr
 from repro.isa import instructions as ins
 from repro.isa.program import CODE_BASE, DATA_BASE, INSTR_SIZE, Program
-from repro.mem import AddressSpace, FramePool
+from repro.mem import (
+    MAP_ANONYMOUS,
+    MAP_FIXED,
+    MAP_PRIVATE,
+    PROT_READ,
+    PROT_WRITE,
+    AddressSpace,
+    FramePool,
+)
 
 from test_property_isa import instructions
 
-PAGE = 4096
-#: r10 holds zero, r11 an unmapped address, r12 the data page; random
+#: Both platforms' page sizes (``intel_14700``, ``apple_m2``).
+PAGES = (4096, 16384)
+#: Data pages from DATA_BASE: copy-on-write, private dirty, private
+#: clean, read-only.  The page after them is unmapped.
+COW, DIRTY, CLEAN, READ_ONLY = range(4)
+DATA_PAGES = 4
+#: r10 holds zero, r11 an unmapped address, r12 the data region; random
 #: instructions never write them.
 ZERO, UNMAPPED, DATA = 10, 11, 12
 RESERVED = (ZERO, UNMAPPED, DATA)
@@ -54,6 +74,37 @@ KINDS = ("mapped", "unmapped", "cross", "divide", "fp", "vector", "alu",
          "control")
 
 
+class DataAccess:
+    """A memory instruction whose offset into the data region is
+    page-relative: ``delta`` bytes from the start of data page
+    ``index``, or back from its end."""
+
+    def __init__(self, op, reg, index, from_end, delta):
+        self.op, self.reg = op, reg
+        self.index, self.from_end, self.delta = index, from_end, delta
+
+    def at(self, page):
+        offset = self.index * page + (
+            page - self.delta if self.from_end else self.delta)
+        return Instr(self.op, self.reg, DATA, imm=offset)
+
+
+class PageRelativeProgram:
+    """A program whose data accesses are :class:`DataAccess`es."""
+
+    def __init__(self, code, data):
+        self.code, self.data = code, data
+
+    def at(self, page):
+        code = [i.at(page) if isinstance(i, DataAccess) else i
+                for i in self.code]
+        return Program(code, data=self.data, name="prop")
+
+    def __repr__(self):
+        return (f"PageRelativeProgram(<at {PAGES[0]}-byte pages: "
+                f"{self.at(PAGES[0]).instrs}>, data={self.data!r})")
+
+
 @st.composite
 def block_cases(draw, n_instrs, kinds=KINDS):
     """Instructions the ISA strategy does not reach, aimed at block
@@ -61,19 +112,23 @@ def block_cases(draw, n_instrs, kinds=KINDS):
     kind = draw(st.sampled_from(kinds))
     if kind == "mapped":
         op = draw(st.sampled_from(sorted(ins.MEMORY_OPCODES)))
-        offset = draw(st.integers(0, PAGE // 8 - 4)) * 8
-        if op in (ins.LDB, ins.STB, ins.FLD, ins.FST):
-            offset += draw(st.integers(0, 7))
-        return Instr(op, draw(vec if op in (ins.VLD, ins.VST) else
-                              fpr if op in (ins.FLD, ins.FST) else dest),
-                     DATA, imm=offset)
+        from_end = draw(st.booleans())
+        delta = draw(st.integers(0, 64)) * 8 + 32 * from_end
+        if op in (ins.LDB, ins.STB, ins.FLD, ins.FST) \
+                or draw(st.integers(0, 3)) == 0:   # misaligned words fault
+            delta += draw(st.integers(0, 7))
+        return DataAccess(op, draw(vec if op in (ins.VLD, ins.VST) else
+                                   fpr if op in (ins.FLD, ins.FST) else dest),
+                          draw(st.integers(0, DATA_PAGES - 1)), from_end,
+                          delta)
     if kind == "unmapped":
         op = draw(st.sampled_from([ins.LD, ins.LDB, ins.FLD, ins.VLD]))
         return Instr(op, 0, UNMAPPED, imm=draw(st.integers(0, 64)) * 8)
-    if kind == "cross":  # the last lanes or bytes fall off the data page
-        op = draw(st.sampled_from([ins.VST, ins.FST]))
-        return Instr(op, draw(vec if op == ins.VST else fpr), DATA,
-                     imm=draw(st.sampled_from([PAGE - 16, PAGE - 8, PAGE - 4])))
+    if kind == "cross":  # the last lanes or bytes fall into the next page
+        op = draw(st.sampled_from([ins.VST, ins.FST, ins.VLD, ins.FLD]))
+        return DataAccess(op, draw(vec if op in (ins.VLD, ins.VST) else fpr),
+                          draw(st.integers(0, DATA_PAGES - 1)), True,
+                          draw(st.sampled_from([16, 8, 4])))
     if kind == "divide":
         op = draw(st.sampled_from([ins.DIV, ins.MOD, ins.FDIV]))
         if op == ins.FDIV:
@@ -119,7 +174,8 @@ def keeps_reserved(instr):
 
 @st.composite
 def programs(draw, max_body=40, kinds=None):
-    """Random programs; with ``kinds``, only those :func:`block_cases`."""
+    """Random :class:`PageRelativeProgram`s; with ``kinds``, only those
+    :func:`block_cases`."""
     size = draw(st.integers(1, max_body))
     # Start from non-zero registers, so that not every division faults.
     init = [Instr(ins.LI, r, imm=draw(st.integers(-(2**63), 2**63 - 1)))
@@ -133,8 +189,8 @@ def programs(draw, max_body=40, kinds=None):
                           block_cases(n_instrs))
     body = draw(st.lists(instr, min_size=size, max_size=size))
     data = draw(st.binary(min_size=0, max_size=64))
-    return Program(PROLOGUE + init + body + [Instr(ins.HALT)], data=data,
-                   name="prop")
+    return PageRelativeProgram(PROLOGUE + init + body + [Instr(ins.HALT)],
+                               data)
 
 
 class Proc:
@@ -154,15 +210,32 @@ class Proc:
         def cpuid(self):
             return 0xC0DE
 
-    def __init__(self, program, skid, fork_budget):
-        self.pool = FramePool(PAGE)
-        self.mem = AddressSpace(self.pool, aslr=False)
-        self.mem.load_program(program)
+    def __init__(self, program, page, skid, fork_budget):
+        self.pool = FramePool(page)
+        mem = self.mem = AddressSpace(self.pool, aslr=False)
+        mem.load_program(program)
+
+        def data_page(index):
+            return DATA_BASE + index * page
+
+        for index in (DIRTY, READ_ONLY):
+            mem.mmap(data_page(index), page, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED)
+        for index in (COW, DIRTY, READ_ONLY):
+            mem.write_bytes(data_page(index) + 64,
+                            bytes(range(index, 256, 3)) * (page // 128))
+        mem.mprotect(data_page(READ_ONLY), page, PROT_READ)
+        # The sibling keeps sharing every frame: the written pages stay
+        # copy-on-write (and soft-dirty) in this space, the read-only one
+        # soft-dirty and shared.
+        self.sibling = mem.fork()
+        mem.write_bytes(data_page(DIRTY), b"\1")
+        mem.mmap(data_page(CLEAN), page, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED)
+        mem.cow_faults = mem.dirty_marks = 0
         if fork_budget:
-            # Run in a COW child; with no frame to spare, its first store
-            # to each page overruns the budget.
-            self.parent = self.mem
-            self.mem = self.mem.fork()
+            # With no frame to spare, the first store to each
+            # copy-on-write page overruns the budget.
             self.pool.set_budget(self.pool.resident_bytes)
         self.cpu = CpuContext()
         self.cpu.pc = program.entry
@@ -173,11 +246,12 @@ class Proc:
         return self.skid
 
 
-def execute(program, quantum, *, skid=0, overcount=0, branch_target=None,
-            instr_target=None, breakpoint=None, fork_budget=False):
+def execute(program, quantum, *, page=PAGES[0], skid=0, overcount=0,
+            branch_target=None, instr_target=None, breakpoint=None,
+            fork_budget=False):
     """Run ``program`` to a terminal stop or ``LIMIT`` instructions and
     return everything the two paths must agree on."""
-    proc = Proc(program, skid, fork_budget)
+    proc = Proc(program, page, skid, fork_budget)
     cpu = proc.cpu
     cpu.instr_overcount = overcount
     if branch_target is not None:
@@ -227,10 +301,14 @@ def execute(program, quantum, *, skid=0, overcount=0, branch_target=None,
     }
 
 
-def assert_paths_agree(program, **setup):
-    blocks = execute(program, QUANTUM, **setup)
-    steps = execute(program, 1, **setup)
-    assert blocks == steps
+def assert_paths_agree(relative, **setup):
+    """At each page size, the block path and the single-step loop agree
+    on ``relative.at(page)``."""
+    for page in PAGES:
+        program = relative.at(page)
+        blocks = execute(program, QUANTUM, page=page, **setup)
+        steps = execute(program, 1, page=page, **setup)
+        assert blocks == steps
 
 
 class TestBlocksMatchSingleStep:
@@ -243,6 +321,13 @@ class TestBlocksMatchSingleStep:
     @settings(deadline=None)
     def test_arithmetic_edge_values(self, program):
         """Non-finite floats and wide immediates."""
+        assert_paths_agree(program)
+
+    @given(programs(kinds=("mapped", "cross")))
+    @settings(deadline=None)
+    def test_data_page_states(self, program):
+        """Only accesses to the four data pages: every inline-access
+        fallback is taken."""
         assert_paths_agree(program)
 
     @given(programs(), st.integers(0, 60), st.integers(0, 5),
@@ -261,7 +346,7 @@ class TestBlocksMatchSingleStep:
     @given(programs(), st.data())
     @settings(deadline=None)
     def test_breakpoint(self, program, data):
-        index = data.draw(st.integers(0, len(program) - 1))
+        index = data.draw(st.integers(0, len(program.code) - 1))
         assert_paths_agree(program, breakpoint=CODE_BASE + index * INSTR_SIZE)
 
     @given(programs())
@@ -284,3 +369,42 @@ def test_mid_block_cow_store_stops_oom_and_resumes():
     assert result["counters"][0] == len(PROLOGUE) + len(body)
     assert result["cow_faults"] == 1
     assert result == execute(program, 1, fork_budget=True)
+
+
+#: A block-ending fault: (faulting instruction, stop, fork budget).
+BLOCK_FAULTS = {
+    "page-fault": (Instr(ins.LD, 3, UNMAPPED), StopReason.FAULT, False),
+    "divide-by-zero": (Instr(ins.DIV, 3, 1, ZERO), StopReason.FAULT, False),
+    "frame-pool": (Instr(ins.ST, 1, DATA, imm=16), StopReason.OOM, True),
+}
+
+
+@pytest.mark.parametrize("page", PAGES)
+@pytest.mark.parametrize("fault", sorted(BLOCK_FAULTS))
+def test_block_fault_keeps_exactly_the_retired_register_writes(fault, page):
+    """A block keeps registers in locals: when it faults, the writes of
+    the instructions before the fault reach the register files and the
+    writes after it do not."""
+    faulting, reason, fork_budget = BLOCK_FAULTS[fault]
+    before = [Instr(ins.LI, 1, imm=41), Instr(ins.ADDI, 2, 2, imm=7),
+              Instr(ins.FLI, 1, imm=2.5), Instr(ins.MOV, 4, 1)]
+    after = [Instr(ins.LI, 1, imm=-1), Instr(ins.LI, 3, imm=99),
+             Instr(ins.FLI, 2, imm=1.5), Instr(ins.LI, 5, imm=3)]
+    program = Program(PROLOGUE + before + [faulting] + after
+                      + [Instr(ins.HALT)], name="spill")
+    proc = Proc(program, page, 0, fork_budget)
+    stop = run(proc, QUANTUM)
+    assert program.blocks[program.entry].fn is not None   # the block ran
+    assert stop.reason is reason
+    assert stop.executed == len(PROLOGUE) + len(before)
+    assert proc.cpu.pc == CODE_BASE + stop.executed * INSTR_SIZE
+    gprs, fprs = proc.cpu.regs.gprs, proc.cpu.regs.fprs
+    assert (gprs[DATA], gprs[UNMAPPED]) == (DATA_BASE, UNMAPPED_BASE)
+    assert (gprs[1], gprs[2], gprs[4], fprs[1]) == (41, 7, 41, 2.5)
+    assert (gprs[3], gprs[5], fprs[2]) == (0, 0, 0.0)
+
+    stepped = Proc(program, page, 0, fork_budget)
+    stepped.cpu.breakpoints.add(FAR_BREAKPOINT)
+    while run(stepped, 1).reason is StopReason.BUDGET:
+        pass
+    assert stepped.cpu.regs.snapshot() == proc.cpu.regs.snapshot()
