@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -146,11 +147,16 @@ class Parallaft(Tracer):
         self.kernel.counters.skid_probability = self.platform.skid_probability
         self.executor = executor or Executor(self.kernel, self.platform,
                                              quantum=quantum)
+        # The callbacks handed to the parts this runtime owns (the trace,
+        # the profiler, the main as its tracer) reach it through a proxy:
+        # a strong reference back would make a cycle, and a finished run
+        # would wait for the cyclic garbage collector to be freed.
+        me = weakref.proxy(self)
         #: Structured event trace; shared with the kernel and executor so
         #: every layer emits into one timeline.
         self.trace = TraceBuffer(capacity=self.config.trace_capacity,
                                  enabled=self.config.enable_trace,
-                                 clock=lambda: self.executor.current_time)
+                                 clock=lambda: me.executor.current_time)
         self.executor.trace = self.trace
         self.kernel.trace = self.trace
         for path, data in (files or {}).items():
@@ -162,9 +168,9 @@ class Parallaft(Tracer):
         #: the kernel (span closure on every process-exit path).
         self.metrics = MetricRegistry()
         self.profiler = PhaseProfiler(
-            clock=lambda: self.executor.current_time,
-            role_of=lambda proc: self.roles.get(proc.pid),
-            segment_of=self._segment_index_of,
+            clock=lambda: me.executor.current_time,
+            role_of=lambda proc: me.roles.get(proc.pid),
+            segment_of=lambda proc: me._segment_index_of(proc),
             enabled=self.config.enable_metrics)
         self.executor.profiler = self.profiler
         self.kernel.profiler = self.profiler
@@ -241,7 +247,7 @@ class Parallaft(Tracer):
 
     def _setup(self) -> None:
         self.main = self.kernel.spawn(self.program)
-        self.kernel.attach_tracer(self.main, self)
+        self.kernel.attach_tracer(self.main, weakref.proxy(self))
         self.roles[self.main.pid] = "main"
         if self.platform.arch == "x86_64":
             # rdtsc/cpuid disabled in hardware: they fault and we emulate

@@ -10,31 +10,44 @@ the kernel retires them when it completes them, exactly like a trapping
 instruction on real hardware.
 
 Every main *and* checker instruction goes through here, along one of two
-paths with identical results:
+paths with identical results (see :mod:`repro.cpu.blocks`):
 
-* **Blocks.**  At a block leader (see :mod:`repro.cpu.blocks`) with no
-  breakpoint armed, where the whole block fits in the budget and ends at
-  or before both counter targets, one call runs the block's compiled
-  function.  The counters then advance by the block's instruction, memory
-  op and branch counts, and a final branch that reaches the branch
-  overflow target arms delivery exactly as the single-step loop would.  A
-  block works on registers in locals and reads and writes mapped pages
-  inline; the loop hands it the page table's lookup, the address space's
-  accessors for every other case, and the page geometry.  A fault at
-  block index ``k`` copies back the registers the ``k`` instructions
-  before it wrote, retires exactly those ``k`` and returns the single-step
-  loop's ``Stop``.  A page size that is not a power of two keeps the whole
-  run on the single-step loop.
-* **Single step.**  Everything else — non-leader pcs (a quantum resumed
-  mid-block, a handler entry), breakpoints, the last instructions before
-  a counter target or the budget, stopping instructions — runs one
-  instruction per iteration of a flat, local-variable-heavy loop.
+* **Compiled code.**  At a block leader the loop calls compiled code:
+  - the *loop region* the block is a member of, if it has one and no
+    armed breakpoint lies in the region's pc span.  The region gets two
+    allowances: instructions, ``min(budget - executed, deliver_at -
+    counted, instr_ovf_at - counted)`` with ``counted = ir + overcount``,
+    and branches, ``branch_target - bc``.  It enters a member only if the
+    whole member fits in the first, and returns right after the branch
+    that uses up the second, with its instruction, memory-op and branch
+    counts;
+  - else the block, or while breakpoints are armed and one lies inside it,
+    the *cut block* that stops before the first.  A block runs only if it
+    fits in the budget and ends at or before both counter targets.
+
+  After the call the counters advance by its counts, and a final branch
+  that reaches the branch overflow target arms delivery exactly as the
+  single-step loop would; ``bp_skip_pc`` is cleared, as the single-step
+  loop clears it after one instruction.  Compiled code works on registers
+  in locals and reads and writes mapped pages inline; the loop hands it
+  the page table's lookup, the address space's accessors for every other
+  case, and the page geometry.  A fault copies back the registers the
+  retired instructions wrote, retires exactly those instructions and
+  returns the single-step loop's ``Stop``.  A page size that is not a
+  power of two keeps the whole run on the single-step loop.
+* **Single step.**  Everything else runs one instruction per iteration of
+  a flat, local-variable-heavy loop: non-leader pcs (a quantum resumed
+  mid-block, a handler entry) up to the next leader, an armed breakpoint
+  and the instruction a run resumes from at one (after which the rest of
+  its block runs as a cut block), the instructions before a counter
+  target or the end of the budget that no block fits, and stopping
+  instructions.
 """
 
 from __future__ import annotations
 
 from repro.common.errors import FramePoolExhausted
-from repro.cpu.blocks import fcvtzs, partition
+from repro.cpu.blocks import cut, fcvtzs, partition
 from repro.cpu.exceptions import Fault, FaultKind, Stop, StopReason
 from repro.isa.instructions import FDIV, MEMORY_OPCODES
 from repro.mem.address_space import PageFault
@@ -74,11 +87,14 @@ def run(proc, budget: int) -> Stop:
     bps = cpu.breakpoints
     skip_pc = cpu.bp_skip_pc if cpu.bp_skip_pc is not None else -1
     cpu.bp_skip_pc = None
+    # The pc after the breakpoint being resumed from: with breakpoints
+    # armed, the rest of the block holding it runs as a cut block.
+    tail = skip_pc + 4
     trap_nondet = cpu.trap_nondet
 
     page_size = mem.page_size
     # Inline page access shifts and masks: power-of-two pages only.
-    blocks = None if bps or page_size & (page_size - 1) else mem.blocks
+    blocks = None if page_size & (page_size - 1) else mem.blocks
     if blocks is not None:
         if not blocks:
             blocks.update(partition(code, code_base, pc))
@@ -94,34 +110,61 @@ def run(proc, budget: int) -> Stop:
     while executed < budget:
         if blocks is not None:
             block = blocks.get(pc)
+            if bps and (block is not None or pc == tail):
+                block = None if pc == skip_pc else cut(
+                    blocks, block, pc, bps, code, code_base)
             if block is not None:
-                n = block.n
-                end = ir + overcount + n
-                if executed + n <= budget and end <= deliver_at \
-                        and end <= instr_ovf_at:
-                    try:
-                        pc = (block.fn or block.compile(code, code_base))(
+                region = block.region
+                if region is not None and bps:
+                    for bp in bps:
+                        if region.lo <= bp < region.hi:
+                            region = None
+                            break
+                unit = region or block
+                try:
+                    if region is not None:
+                        counted = ir + overcount
+                        pc, n, m, b = (region.fn or region.compile(
+                            code, code_base))(
                             regs, fregs, vregs, pg, ld, st, lb, sb, ldd, sd,
-                            sh, mk, lim)
-                    except _BLOCK_FAULTS as exc:
-                        k = block.unwind(exc, regs, fregs)
-                        first = block.start
-                        mc += sum(instr.op in MEMORY_OPCODES
-                                  for instr in code[first:first + k])
-                        pc += 4 * k
-                        ir += k
-                        executed += k
-                        stop = _block_fault_stop(exc, executed, pc,
-                                                 code[first + k].op)
-                        break
+                            sh, mk, lim, pc,
+                            min(budget - executed, deliver_at - counted,
+                                instr_ovf_at - counted),
+                            branch_target - bc)
+                    else:
+                        n = block.n
+                        end = ir + overcount + n
+                        if executed + n > budget or end > deliver_at \
+                                or end > instr_ovf_at:
+                            n = 0
+                        else:
+                            pc = (block.fn or block.compile(code, code_base))(
+                                regs, fregs, vregs, pg, ld, st, lb, sb, ldd,
+                                sd, sh, mk, lim)
+                            m, b = block.mem_ops, block.branch
+                except _BLOCK_FAULTS as exc:
+                    first, k, n, m, b = unit.unwind(exc, regs, fregs)
+                    m += sum(instr.op in MEMORY_OPCODES
+                             for instr in code[first:first + k])
+                    pc = code_base + 4 * (first + k)
+                    ir += n + k
+                    executed += n + k
+                    mc += m
+                    bc += b
+                    stop = _block_fault_stop(exc, executed, pc,
+                                             code[first + k].op)
+                    break
+                if n:
                     ir += n
                     executed += n
-                    mc += block.mem_ops
-                    if block.branch:
-                        bc += 1
+                    mc += m
+                    skip_pc = -1
+                    if b:
+                        bc += b
                         if bc >= branch_target:
-                            # The branch retired as ir - 1: the delivery
-                            # point the single-step loop arms for it.
+                            # The last branch retired as ir - 1: the
+                            # delivery point the single-step loop arms for
+                            # it.
                             branch_target = _HUGE
                             deliver_at = ir + overcount + proc.skid_draw()
                     continue

@@ -11,6 +11,7 @@ delivery, soft-dirty clearing, ``PAGEMAP_SCAN``-style map counting, ASLR'd
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -156,8 +157,6 @@ class Kernel:
                         child_cpu, self._make_nondet())
         child.spawn_time = self.now()
         child._skid_fn = self._make_skid_fn()
-        child.parent = proc
-        proc.children.append(child)
         child.fds = {fd: f.clone() for fd, f in proc.fds.items()}
         child.signal_handlers = dict(proc.signal_handlers)
         child.tracer = proc.tracer
@@ -289,19 +288,24 @@ class Kernel:
     # -- nondet / counters --------------------------------------------------------------
 
     def _make_nondet(self) -> NondetSource:
-        proc_box: List[Optional[Process]] = [None]
+        # Weak references to the kernel and the process: the source
+        # belongs to a process the kernel holds, and strong ones would
+        # make cycles that only the cyclic garbage collector frees.
+        kernel = weakref.ref(self)
+        proc_box: List[Callable[[], Optional[Process]]] = [lambda: None]
 
         def core_of():
-            return proc_box[0].core if proc_box[0] is not None else None
+            proc = proc_box[0]()
+            return proc.core if proc is not None else None
 
-        source = NondetSource(self.now, core_of)
+        source = NondetSource(lambda: kernel().now(), core_of)
         source._proc_box = proc_box  # filled by caller via bind_nondet
         return source
 
     @staticmethod
     def bind_nondet(proc: Process) -> None:
         """Point the process's nondet source at itself (call after ctor)."""
-        proc.nondet._proc_box[0] = proc
+        proc.nondet._proc_box[0] = weakref.ref(proc)
 
     def _make_skid_fn(self) -> Callable[[], int]:
         rng = self.rng.stream("skid")

@@ -60,8 +60,6 @@ class Process:
         #: set by Kernel.oom_kill — distinguishes running out of RAM from
         #: fault detections in outcome classification
         self.oom_killed = False
-        self.parent: Optional["Process"] = None
-        self.children: List["Process"] = []
 
         self.fds: Dict[int, "FileObject"] = {}
         self._next_fd = 3

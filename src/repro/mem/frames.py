@@ -39,7 +39,7 @@ def budget_from_env(var: str = "REPRO_MEM_BUDGET") -> Optional[int]:
 class Frame:
     """One physical page frame."""
 
-    __slots__ = ("frame_id", "data", "refcount")
+    __slots__ = ("frame_id", "data", "refcount", "__weakref__")
 
     def __init__(self, frame_id: int, data: bytearray):
         self.frame_id = frame_id

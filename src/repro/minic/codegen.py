@@ -188,6 +188,10 @@ class CodeGenerator:
         for fn in self._module.functions:
             for stmt in fn.body:
                 visit_stmt(stmt)
+        # Each visitor refers to itself through its closure cell; emptying
+        # the cells frees them, this generator and its syntax tree by
+        # reference counting instead of at the next cyclic collection.
+        del visit_expr, visit_stmt
 
     def _intern_string(self, text: str) -> Tuple[str, int]:
         if text not in self._strings:
@@ -355,6 +359,7 @@ class CodeGenerator:
                     scan(stmt.body)
 
         scan(fn.body)
+        del scan   # frees the recursive closure (see _collect_strings)
         callee_pool = list(_CALLEE_SAVED)
         param_names = {p.name for p in fn.params}
         for name, is_float, line in decls:

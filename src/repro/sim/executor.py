@@ -14,6 +14,7 @@ contention, and per-core energy.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, List, Optional
 
 from repro import abi
@@ -73,7 +74,9 @@ class Executor:
         #: the process currently inside its quantum; emergency frame
         #: reclaim (pressure controller) must not tear this one down
         self.current_proc: Optional[Process] = None
-        kernel.time_fn = lambda: self.current_time
+        # Through a weak reference: this executor holds the kernel.
+        executor = weakref.ref(self)
+        kernel.time_fn = lambda: executor().current_time
         self._cow_seen = {}
         self._shutdown = False
         #: Event sink; the Parallaft runtime installs its own buffer.

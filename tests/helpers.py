@@ -2,14 +2,33 @@
 
 from __future__ import annotations
 
+import contextlib
 from typing import Dict, Optional, Tuple
+from unittest import mock
 
+from repro.cpu import interpreter
 from repro.isa import Program
 from repro.kernel import Kernel
 from repro.minic import compile_source
 from repro.sim import Executor, PlatformConfig, apple_m2
 from repro.trace import events as tev
 
+
+
+@contextlib.contextmanager
+def single_step_only(mem):
+    """Run every instruction on ``mem`` inside the block on the
+    interpreter's single-step loop, and prove that no compiled code ran.
+
+    ``mem`` gets a private, empty block cache, and ``partition`` as the
+    interpreter sees it cuts no blocks.  The interpreter calls compiled
+    code only through that cache, so a cache still empty on exit means
+    that none ran.
+    """
+    mem.blocks = {}
+    with mock.patch.object(interpreter, "partition", lambda *args: {}):
+        yield
+    assert mem.blocks == {}, "compiled code ran in a single-step run"
 
 def make_machine(platform: Optional[PlatformConfig] = None, seed: int = 0,
                  aslr: bool = True, quantum: int = 2000

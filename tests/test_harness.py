@@ -1,5 +1,8 @@
 """Tests for the experiment harness: runner, breakdown, periods, figures."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.common.units import BILLION, geomean, geomean_overhead_pct
@@ -131,6 +134,43 @@ class TestRunners:
         prot = run_protected(bench, "parallaft", sample_memory=True)
         assert base.mean_pss() > 0
         assert prot.mean_pss() > base.mean_pss()
+
+
+    def test_finished_runs_are_freed_by_reference_counting(self,
+                                                           monkeypatch):
+        """With the cyclic garbage collector off, a finished run's kernel
+        and page frames are gone once the runner returns: nothing in the
+        run's object graph refers back into it.  The results still
+        read."""
+        from repro.core import runtime
+        from repro.harness import runner
+        kernels, frames = [], []
+
+        for module in (runner, runtime):
+            class Recording(module.Kernel):
+                def spawn(self, *args, **kwargs):
+                    proc = super().spawn(*args, **kwargs)
+                    kernels.append(weakref.ref(self))
+                    pte = next(iter(proc.mem.pages.values()))
+                    frames.append(weakref.ref(pte.frame))
+                    return proc
+
+            monkeypatch.setattr(module, "Kernel", Recording)
+        bench = benchmark("sphinx3")
+        gc.collect()
+        gc.disable()
+        try:
+            base = run_baseline(bench)
+            prot = run_protected(bench, "parallaft")
+            assert len(kernels) == 2
+            assert [ref() for ref in kernels + frames] == [None] * 4
+        finally:
+            gc.enable()
+        assert base.wall_time > 0
+        stats = prot.inputs[0].stats
+        assert stats.stdout and stats.segments_checked >= 1
+        assert stats.to_dict()["exit_code"] == 0
+        assert sum(prot.phase_profile().cycles.values()) > 0
 
 
 class TestRunnerCliValidation:

@@ -1,7 +1,10 @@
 """Tests for the CPU interpreter: semantics, counters, breakpoints, traps."""
 
+import contextlib
+
 import pytest
 
+from helpers import single_step_only
 from repro.cpu import CpuContext, StopReason, blocks, run
 from repro.cpu.exceptions import FaultKind
 from repro.isa import CODE_BASE, DATA_BASE, Instr, assemble, make_brk
@@ -205,9 +208,9 @@ class TestFloatAndVector:
         """icvt follows FCVTZS on NaN and +-inf instead of crashing the
         simulator, on both interpreter paths."""
         proc = StubProcess(setup + "\nicvt r2, f6\nhalt\n")
-        if single_step:
-            proc.cpu.breakpoints.add(proc.mem.code_base + 0x1000)
-        stop = proc.run()
+        with single_step_only(proc.mem) if single_step \
+                else contextlib.nullcontext():
+            stop = proc.run()
         assert stop.reason == StopReason.HALTED
         assert proc.cpu.regs.gprs[2] == expected
 
