@@ -27,8 +27,7 @@ and no rollback ever runs.
 
 import argparse
 
-from repro import Parallaft, ParallaftConfig, compile_source
-from repro.core.rr_log import SyscallRecord
+from repro import Parallaft, ParallaftConfig, abi, compile_source
 from repro.faults import FaultInjector, Outcome, TARGET_MAIN, classify_run
 from repro.faults.infra import (INFRA_LOG_CORRUPT, InfraFaultController,
                                 InfraFaultSite, harden)
@@ -113,9 +112,13 @@ def run_infra_demo():
     # still live at the end-of-segment check, and bit 9 (byte 1) never
     # reaches stdout, so the main's own output stays clean while the
     # checker's replay diverges.
-    records = reference_rt.segments[1].log.records
-    rank = max(index for index, record in enumerate(records)
-               if isinstance(record, SyscallRecord) and record.output_data)
+    # A verified segment drops its log, so the ranks come from the trace:
+    # this workload logs syscalls alone, one SYSCALL_RECORD per record.
+    recorded = [event.payload["sysno"]
+                for event in reference_rt.trace.events(tev.SYSCALL_RECORD)
+                if event.segment == 1]
+    rank = max(index for index, sysno in enumerate(recorded)
+               if sysno == abi.SYS_GETRANDOM)
     site = dict(kind=INFRA_LOG_CORRUPT, segment_index=1, bit=9,
                 record_rank=rank, field_rank=1)
     print(f"\ninfra fault: flip one bit in stored log record {rank} of "

@@ -7,7 +7,8 @@ segment-teardown path (rollback, checker retry, TMR outvote and
 mid-replay replica discard, TMR forward recovery, pressure shed/evict,
 OOM shed) or one stall cause (the live-segment cap, error containment,
 RAFT record starvation; the pressure scenarios also stall the main on
-pressure and block checkers on memory), and prints one
+pressure and block checkers on memory) or the syscall and signal path
+(record, replay, handled signals), and prints one
 ``<scenario> <sha256>`` line per run.  The hash covers the canonical
 JSON of ``stats.to_dict()``, stdout, stderr, the phase profile
 (per-phase and per-segment cycle ledgers, stall seconds) and every
@@ -18,7 +19,7 @@ still exercises its path, so the coverage cannot silently vanish.
 
 The script only uses APIs that have been stable across refactors
 (``Parallaft``, ``ParallaftConfig``, ``get_mode``, ``FaultSite``,
-``quantum_hooks``), so it can fingerprint an older checkout too: point
+``quantum_hooks``, ``Program.address_of``), so it can fingerprint an older checkout too: point
 ``PYTHONPATH`` at that tree's ``src`` and diff the output.
 """
 
@@ -29,6 +30,7 @@ import hashlib
 import json
 import sys
 
+from repro import abi
 from repro.core import Parallaft, ParallaftConfig
 from repro.faults import FaultSite
 from repro.minic import compile_source
@@ -99,6 +101,25 @@ func main() {
 }
 """
 
+#: getpid, 1 MB ``/dev/zero`` read and SIGUSR1-handler loops (the
+#: §5.7 stress programs, shortened); ``sigaction``'s 99 is replaced by
+#: the handler's address.
+SYSCALLS_SOURCE = """
+global hits;
+func on_sig(sig) { hits = hits + 1; return 0; }
+func main() {
+    var i; var fd; var buf; var me;
+    sigaction(10, 99);
+    me = getpid();
+    for (i = 0; i < 600; i = i + 1) { getpid(); }
+    fd = open("/dev/zero");
+    buf = mmap_anon(1048576);
+    for (i = 0; i < 6; i = i + 1) { read(fd, buf, 1048576); }
+    for (i = 0; i < 300; i = i + 1) { kill(me, 10); }
+    print_int(hits);
+}
+"""
+
 PRESSURE_SOURCE = """
 global data[2048];
 func main() {
@@ -114,10 +135,10 @@ func main() {
 """
 
 
-def run(source, config, hook=None):
+def run(source, config, hook=None, program=None, platform=None):
     config.trace_capacity = TRACE_CAPACITY
-    runtime = Parallaft(compile_source(source), config=config,
-                        platform=apple_m2())
+    runtime = Parallaft(program or compile_source(source), config=config,
+                        platform=platform or apple_m2())
     if hook is not None:
         runtime.quantum_hooks.append(hook(runtime))
     stats = runtime.run()
@@ -339,6 +360,29 @@ def raft_starvation():
     return runtime, stats
 
 
+def syscalls():
+    program = compile_source(SYSCALLS_SOURCE)
+    handler = program.address_of("F_on_sig")
+    for instr in program.instrs:
+        if instr.imm == 99:
+            instr.imm = handler
+    # Unscaled, as the stress figure runs it: each simulated cycle is a
+    # hardware cycle, so a 5,000-cycle period cuts several segments.
+    platform = apple_m2()
+    platform.cycle_scale = 1
+    config = ParallaftConfig(slicing_period=5000)
+    runtime, stats = run(None, config, program=program, platform=platform)
+    require(stats.nr_slices >= 2 and not stats.errors, "several segments")
+    require(stats.syscalls_recorded > 900
+            and stats.syscalls_replayed == stats.syscalls_recorded,
+            "every syscall recorded and replayed")
+    require(kinds(runtime, tev.SYSCALL_RECORD, sysno=abi.SYS_READ)
+            and stats.stdout.strip() == "300"
+            and runtime.kernel.stats["signals_delivered"] == 600,
+            "1 MB reads, and every SIGUSR1 handled by main and checker")
+    return runtime, stats
+
+
 SCENARIOS = {
     "rollback": rollback,
     "retry": retry,
@@ -352,6 +396,7 @@ SCENARIOS = {
     "stall-cap": stall_cap,
     "stall-containment": stall_containment,
     "raft-starvation": raft_starvation,
+    "syscalls": syscalls,
 }
 
 

@@ -24,7 +24,7 @@ from repro.core.stats import RunStats
 from repro.kernel.process import Process, ProcessState
 from repro.metrics import phases as mph
 from repro.sim.cores import Core
-from repro.sim.executor import Executor, core_label
+from repro.sim.executor import Executor
 from repro.trace import events as tev
 
 #: Cycles charged for migrating a checker between cores (context + cache
@@ -96,7 +96,7 @@ class CheckerScheduler:
             segment.checker_user_cycles_at_start += checker.user_cycles
             if trace.enabled:
                 trace.emit(tev.CHECKER_PLACE, pid=checker.pid,
-                           role="checker", core=core_label(core),
+                           role="checker", core=core.label,
                            segment=segment.index)
         segment.check_started_time = self.executor.current_time
         self.running.append(segment)
@@ -128,7 +128,7 @@ class CheckerScheduler:
         trace = self.executor.trace
         if trace.enabled:
             trace.emit(tev.CHECKER_MIGRATE, pid=checker.pid, role="checker",
-                       core=core_label(core), segment=segment.index)
+                       core=core.label, segment=segment.index)
 
     # -- completion ----------------------------------------------------------------
 

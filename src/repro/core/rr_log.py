@@ -162,6 +162,11 @@ class RrLog:
             record.seq = len(self.records) - 1
             record.checksum = record_checksum(record)
 
+    def discard(self) -> None:
+        """Drop every record: the segment verified, so no replay reads
+        its log again.  ``len`` reads 0 afterwards."""
+        self.records = []
+
     def cursor(self) -> "RrCursor":
         return RrCursor(self)
 

@@ -69,7 +69,7 @@ from repro.mem.frames import budget_from_env
 from repro.metrics import MetricRegistry, PhaseProfiler
 from repro.metrics import phases as mph
 from repro.recovery.manager import RecoveryManager
-from repro.sim.executor import Executor, core_label
+from repro.sim.executor import Executor
 from repro.sim.platform import PlatformConfig, apple_m2
 from repro.trace import TraceBuffer
 from repro.trace import events as tev
@@ -169,8 +169,7 @@ class Parallaft(Tracer):
         self.metrics = MetricRegistry()
         self.profiler = PhaseProfiler(
             clock=lambda: me.executor.current_time,
-            role_of=lambda proc: me.roles.get(proc.pid),
-            segment_of=lambda proc: me._segment_index_of(proc),
+            attribute=lambda proc: me._attribution(proc),
             enabled=self.config.enable_metrics)
         self.executor.profiler = self.profiler
         self.kernel.profiler = self.profiler
@@ -231,17 +230,18 @@ class Parallaft(Tracer):
                 and self.config.enable_metrics:
             self.enable_metrics_sampling(self.config.metrics_sample_interval)
 
-    def _segment_index_of(self, proc: Process) -> Optional[int]:
-        """The segment a process's work belongs to, for the profiler's
-        per-segment ledger: a checker charges its own segment, the main
-        charges the segment it is currently recording."""
+    def _attribution(self, proc: Process) -> Tuple[str, Optional[int]]:
+        """The profiler's default phase for a process's charges and the
+        segment its work belongs to: a checker replays its own segment,
+        the main executes the segment it is currently recording."""
         role = self.roles.get(proc.pid)
         if role == "checker":
             segment = self.segment_of_checker.get(proc.pid)
-            return segment.index if segment is not None else None
+            return mph.REPLAY, (segment.index if segment is not None
+                                else None)
         if role == "main" and self.current is not None:
-            return self.current.index
-        return None
+            return mph.MAIN_EXEC, self.current.index
+        return mph.MAIN_EXEC, None
 
     # ------------------------------------------------------------------ setup
 
@@ -306,7 +306,7 @@ class Parallaft(Tracer):
             pid = proc.pid
             role = self.roles.get(proc.pid)
             if proc.core is not None:
-                core = core_label(proc.core)
+                core = proc.core.label
         self.trace.emit(kind, pid=pid, role=role, core=core,
                         segment=segment, **payload)
 
@@ -476,6 +476,8 @@ class Parallaft(Tracer):
                 phase=mph.RUNTIME)
 
     def _record_appended(self, segment: Segment) -> None:
+        if not self._stalls:
+            return
         for replica in segment.replicas:
             if self._stalls.get(replica.process.pid) \
                     == tev.STALL_RECORD_STARVATION:
@@ -838,20 +840,22 @@ class Parallaft(Tracer):
             # point; the checker will stop exactly here via its breakpoint.
             self._finalize_segment(end_is_main_exit=True)
             return None
-        if syscall_model.is_shared_mmap(sysno, args):
-            raise ReproError(
-                "shared memory mappings are outside Parallaft's supported "
-                "scope (paper §4.3.2)")
-        if syscall_model.is_file_backed_mmap(sysno, args):
-            # Split segments around the call so it stays outside the
-            # protection zone (paper §4.3.2): the checker forked *after*
-            # the call inherits the mapping instead of replaying it.  This
-            # applies in RAFT mode too — the paper's RAFT model takes two
-            # extra checkpoints around file-backed mmaps (§5.1).
-            self._finalize_segment()
-            self._pending_mmap_split = True
-            self.stats.mmap_splits += 1
-            return None
+        if sysno == abi.SYS_MMAP:
+            if syscall_model.is_shared_mmap(sysno, args):
+                raise ReproError(
+                    "shared memory mappings are outside Parallaft's "
+                    "supported scope (paper §4.3.2)")
+            if syscall_model.is_file_backed_mmap(sysno, args):
+                # Split segments around the call so it stays outside the
+                # protection zone (paper §4.3.2): the checker forked
+                # *after* the call inherits the mapping instead of
+                # replaying it.  This applies in RAFT mode too — the
+                # paper's RAFT model takes two extra checkpoints around
+                # file-backed mmaps (§5.1).
+                self._finalize_segment()
+                self._pending_mmap_split = True
+                self.stats.mmap_splits += 1
+                return None
         classification = syscall_model.classify(sysno)
         if (self.config.error_containment
                 and classification == syscall_model.GLOBAL
@@ -915,7 +919,8 @@ class Parallaft(Tracer):
             except Exception:
                 record.output_data = b""
             self._charge_record_bytes(proc, len(record.output_data))
-        if syscall_model.needs_aslr_fixup(sysno, record.args) and result > 0:
+        if sysno == abi.SYS_MMAP and result > 0 \
+                and syscall_model.needs_aslr_fixup(sysno, record.args):
             # Replay will pin the checker's mapping to the address ASLR
             # gave the main (paper §4.3.2).
             fixed = list(record.args)
@@ -1545,6 +1550,10 @@ class Parallaft(Tracer):
                 self.kernel.exit_process(checker, 0)
             self.kernel.reap(checker)
         self.release_checkpoints(segment)
+        if segment.status == SegmentStatus.CHECKED:
+            # A verified segment is never replayed again: its syscall
+            # output bytes need not outlive it.
+            segment.log.discard()
         self.sched.on_checker_done(segment)
         self.emit(tev.SEGMENT_RETIRE, segment=segment.index)
         self.wake_main()
@@ -1587,7 +1596,7 @@ class Parallaft(Tracer):
         self.profiler.open_span(proc.pid, entry.phase)
         kind = (tev.MAIN_STALL if entry.holds is not None
                 else tev.CHECKER_STALL)
-        self.emit(kind, proc=proc, segment=self._segment_index_of(proc),
+        self.emit(kind, proc=proc, segment=self._attribution(proc)[1],
                   reason=cause, **payload)
 
     def wake(self, proc: Process) -> None:
@@ -1599,7 +1608,7 @@ class Parallaft(Tracer):
         proc.state = ProcessState.RUNNING
         proc.ready_time = max(proc.ready_time, self.executor.current_time)
         self.profiler.close_span(proc.pid)
-        segment = self._segment_index_of(proc)
+        segment = self._attribution(proc)[1]
         if STALL_CAUSES[cause].holds is not None:
             self.emit(tev.MAIN_WAKE, proc=proc, segment=segment,
                       reason=cause)

@@ -56,6 +56,20 @@ _TWO63 = 1 << 63
 _TWO64 = 1 << 64
 _HUGE = 1 << 62
 _BLOCK_FAULTS = (PageFault, FramePoolExhausted, ZeroDivisionError)
+# Stop reasons and fault kinds as globals: a global is cheaper to load
+# than an enum member.
+_DIVIDE_BY_ZERO = FaultKind.DIVIDE_BY_ZERO
+_PAGE_FAULT = FaultKind.PAGE_FAULT
+_BREAKPOINT = StopReason.BREAKPOINT
+_BRK = StopReason.BRK
+_BUDGET = StopReason.BUDGET
+_COUNTER_OVERFLOW = StopReason.COUNTER_OVERFLOW
+_FAULT = StopReason.FAULT
+_HALTED = StopReason.HALTED
+_INSTR_OVERFLOW = StopReason.INSTR_OVERFLOW
+_NONDET = StopReason.NONDET
+_OOM = StopReason.OOM
+_SYSCALL = StopReason.SYSCALL
 
 
 def run(proc, budget: int) -> Stop:
@@ -67,9 +81,10 @@ def run(proc, budget: int) -> Stop:
     """
     cpu = proc.cpu
     mem = proc.mem
-    regs = cpu.regs.gprs
-    fregs = cpu.regs.fprs
-    vregs = cpu.regs.vecs
+    registers = cpu.regs
+    regs = registers.gprs
+    fregs = registers.fprs
+    vregs = registers.vecs
     code = mem.code
     code_base = mem.code_base
     code_len = len(code)
@@ -85,8 +100,11 @@ def run(proc, budget: int) -> Stop:
     instr_ovf_at = cpu.instr_overflow_at
 
     bps = cpu.breakpoints
-    skip_pc = cpu.bp_skip_pc if cpu.bp_skip_pc is not None else -1
-    cpu.bp_skip_pc = None
+    skip_pc = cpu.bp_skip_pc
+    if skip_pc is None:
+        skip_pc = -1
+    else:
+        cpu.bp_skip_pc = None
     # The pc after the breakpoint being resumed from: with breakpoints
     # armed, the rest of the block holding it runs as a cut block.
     tail = skip_pc + 4
@@ -173,21 +191,21 @@ def run(proc, budget: int) -> Stop:
         if counted >= deliver_at:
             deliver_at = _HUGE
             branch_target = _HUGE
-            stop = Stop(StopReason.COUNTER_OVERFLOW, executed)
+            stop = Stop(_COUNTER_OVERFLOW, executed)
             break
         if counted >= instr_ovf_at:
             instr_ovf_at = _HUGE
-            stop = Stop(StopReason.INSTR_OVERFLOW, executed)
+            stop = Stop(_INSTR_OVERFLOW, executed)
             break
         if bps and pc in bps and pc != skip_pc:
-            stop = Stop(StopReason.BREAKPOINT, executed)
+            stop = Stop(_BREAKPOINT, executed)
             break
         skip_pc = -1
 
         index = (pc - code_base) >> 2
         if index < 0 or index >= code_len:
-            stop = Stop(StopReason.FAULT, executed,
-                        Fault(FaultKind.PAGE_FAULT, pc, "exec"))
+            stop = Stop(_FAULT, executed,
+                        Fault(_PAGE_FAULT, pc, "exec"))
             break
         instr = code[index]
         op = instr.op
@@ -205,16 +223,16 @@ def run(proc, budget: int) -> Stop:
                         value = a_val * b_val
                     elif op == 5:    # DIV
                         if b_val == 0:
-                            stop = Stop(StopReason.FAULT, executed,
-                                        Fault(FaultKind.DIVIDE_BY_ZERO, pc))
+                            stop = Stop(_FAULT, executed,
+                                        Fault(_DIVIDE_BY_ZERO, pc))
                             break
                         value = abs(a_val) // abs(b_val)
                         if (a_val < 0) != (b_val < 0):
                             value = -value
                     elif op == 6:    # MOD
                         if b_val == 0:
-                            stop = Stop(StopReason.FAULT, executed,
-                                        Fault(FaultKind.DIVIDE_BY_ZERO, pc))
+                            stop = Stop(_FAULT, executed,
+                                        Fault(_DIVIDE_BY_ZERO, pc))
                             break
                         quotient = abs(a_val) // abs(b_val)
                         if (a_val < 0) != (b_val < 0):
@@ -243,7 +261,7 @@ def run(proc, budget: int) -> Stop:
                     regs[instr.a] = ((value + _TWO63) % _TWO64) - _TWO63
                 elif op == 1:  # HALT
                     cpu.halted = True
-                    stop = Stop(StopReason.HALTED, executed)
+                    stop = Stop(_HALTED, executed)
                     break
                 # NOP: nothing
                 pc += 4
@@ -321,8 +339,8 @@ def run(proc, budget: int) -> Stop:
                 elif op == 42:
                     divisor = fregs[instr.c]
                     if divisor == 0.0:
-                        stop = Stop(StopReason.FAULT, executed,
-                                    Fault(FaultKind.DIVIDE_BY_ZERO, pc, "fp"))
+                        stop = Stop(_FAULT, executed,
+                                    Fault(_DIVIDE_BY_ZERO, pc, "fp"))
                         break
                     fregs[instr.a] = fregs[instr.b] / divisor
                 elif op == 43:  # FLD
@@ -381,13 +399,13 @@ def run(proc, budget: int) -> Stop:
                 pc += 4
             else:  # system group
                 if op == 59:   # SYSCALL: stop before executing (ptrace-style)
-                    stop = Stop(StopReason.SYSCALL, executed)
+                    stop = Stop(_SYSCALL, executed)
                     break
                 if op == 63:   # BRK
-                    stop = Stop(StopReason.BRK, executed)
+                    stop = Stop(_BRK, executed)
                     break
                 if trap_nondet:
-                    stop = Stop(StopReason.NONDET, executed)
+                    stop = Stop(_NONDET, executed)
                     break
                 if op == 60:   # RDTSC
                     regs[instr.a] = proc.nondet.read_tsc()
@@ -397,8 +415,8 @@ def run(proc, budget: int) -> Stop:
                     regs[instr.a] = proc.nondet.cpuid()
                 pc += 4
         except PageFault as fault:
-            stop = Stop(StopReason.FAULT, executed,
-                        Fault(FaultKind.PAGE_FAULT, fault.address,
+            stop = Stop(_FAULT, executed,
+                        Fault(_PAGE_FAULT, fault.address,
                               fault.access))
             break
         except FramePoolExhausted as exc:
@@ -406,14 +424,14 @@ def run(proc, budget: int) -> Stop:
             # reserves *before* mutating and the faulting store has not
             # advanced pc, so stopping here leaves the process resumable:
             # waking it retries the same instruction.
-            stop = Stop(StopReason.OOM, executed, needed=exc.needed)
+            stop = Stop(_OOM, executed, needed=exc.needed)
             break
 
         ir += 1
         executed += 1
 
     if stop is None:
-        stop = Stop(StopReason.BUDGET, executed)
+        stop = Stop(_BUDGET, executed)
 
     cpu.pc = pc
     cpu.instr_retired = ir
@@ -431,10 +449,10 @@ def _block_fault_stop(exc: BaseException, executed: int, pc: int,
     """The ``Stop`` the single-step loop returns for ``exc`` raised by the
     instruction ``op`` at ``pc``."""
     if isinstance(exc, PageFault):
-        return Stop(StopReason.FAULT, executed,
-                    Fault(FaultKind.PAGE_FAULT, exc.address, exc.access))
+        return Stop(_FAULT, executed,
+                    Fault(_PAGE_FAULT, exc.address, exc.access))
     if isinstance(exc, FramePoolExhausted):
-        return Stop(StopReason.OOM, executed, needed=exc.needed)
-    return Stop(StopReason.FAULT, executed,
-                Fault(FaultKind.DIVIDE_BY_ZERO, pc,
+        return Stop(_OOM, executed, needed=exc.needed)
+    return Stop(_FAULT, executed,
+                Fault(_DIVIDE_BY_ZERO, pc,
                       "fp" if op == FDIV else ""))

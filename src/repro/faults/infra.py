@@ -42,6 +42,7 @@ hardening must drive every kind's SDC fraction to exactly zero
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import Parallaft, ParallaftConfig
@@ -145,7 +146,9 @@ class InfraFaultController:
 
     def __init__(self, runtime: Parallaft, site: InfraFaultSite,
                  app_threshold: Optional[float] = None):
-        self.runtime = runtime
+        # Its bound methods become the runtime's hooks: a weak proxy, as
+        # for :class:`~repro.faults.injector.Trigger`.
+        self.runtime = weakref.proxy(runtime)
         self.site = site
         self.infra_fired = False
         self._log_missed = False

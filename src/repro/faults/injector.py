@@ -45,6 +45,7 @@ what the recovery benchmarks use as the control arm.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -179,11 +180,17 @@ class InjectionTarget:
 
 class Trigger:
     """A once-only quantum hook: runs ``strike(proc)`` whenever
-    ``due(proc, role)`` holds, until the strike lands (returns True)."""
+    ``due(proc, role)`` holds, until the strike lands (returns True).
+
+    The runtime holds its hooks, so a hook (and the ``due`` and
+    ``strike`` closures it holds) reaches the runtime through a weak
+    proxy: a strong reference back would make a cycle that only the
+    cyclic garbage collector frees.
+    """
 
     def __init__(self, runtime: Parallaft, due: Callable[..., bool],
                  strike: Callable[..., bool]):
-        self.runtime = runtime
+        self.runtime = weakref.proxy(runtime)
         self.due = due
         self.strike = strike
         #: Virtual time of the landed strike; None until it lands.
@@ -206,24 +213,27 @@ def main_trigger(runtime: Parallaft, threshold: float,
     ``threshold``, counted from the start of segment ``segment_index``
     (only while that segment records) or, when None, from program
     start."""
+    me = weakref.proxy(runtime)
+
     def due(proc, role: str) -> bool:
         if role != "main":
             return False
         start = 0
         if segment_index is not None:
-            segment = runtime.current
+            segment = me.current
             if segment is None or segment.index != segment_index:
                 return False
             start = segment.start_instructions
-        return runtime._instr_reading(proc) - start >= threshold
+        return me._instr_reading(proc) - start >= threshold
     return Trigger(runtime, due, strike)
 
 
 def site_strike(runtime: Parallaft, site: FaultSite) -> Callable[..., bool]:
     """Apply ``site`` to the struck process, its memory faults ranked
-    over that process's dirty pages at the moment of the strike."""
-    return lambda proc: site.apply(proc,
-                                   runtime.dirty_tracker.dirty_vpns(proc))
+    over that process's dirty pages at the moment of the strike (the
+    runtime through a weak proxy, as :class:`Trigger` explains)."""
+    me = weakref.proxy(runtime)
+    return lambda proc: site.apply(proc, me.dirty_tracker.dirty_vpns(proc))
 
 
 def injection_result(stats, stdout: str, stderr: Optional[str],
@@ -270,8 +280,10 @@ class FaultInjector(InjectionTarget):
             trigger = main_trigger(runtime, when * instr[segment_index],
                                    strike, segment_index)
         else:
+            me = weakref.proxy(runtime)
+
             def checker_due(proc, role: str) -> bool:
-                segments = runtime.segments
+                segments = me.segments
                 return (role == "checker"
                         and segment_index < len(segments)
                         and segments[segment_index].replica_of(proc.pid)

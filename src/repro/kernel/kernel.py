@@ -107,6 +107,9 @@ class Kernel:
         #: Phase-attribution profiler; the runtime installs a live one.
         #: The kernel only needs it to close stall spans on exit paths.
         self.profiler = NULL_PROFILER
+        #: ``randint(0, n - 1)`` on the overcount stream, without the
+        #: argument handling ``randint`` repeats on every trap.
+        self._overcount_below = self.rng.stream("overcount")._randbelow
         #: Per-run statistics.
         self.stats: Dict[str, int] = {
             "forks": 0, "syscalls": 0, "signals_delivered": 0,
@@ -322,8 +325,7 @@ class Kernel:
         """Instruction-counter overcount on a trap return (paper §4.2.1)."""
         maximum = self.counters.instr_overcount_max
         if maximum > 0:
-            proc.cpu.instr_overcount += \
-                self.rng.stream("overcount").randint(0, maximum)
+            proc.cpu.instr_overcount += self._overcount_below(maximum + 1)
 
     # -- syscall handling -----------------------------------------------------------------
 
@@ -334,7 +336,8 @@ class Kernel:
         instruction-counter overcount), runs tracer entry/exit hooks, and
         either executes or emulates the call.
         """
-        regs = proc.cpu.regs.gprs
+        cpu = proc.cpu
+        regs = cpu.regs.gprs
         sysno = regs[0]
         args = tuple(regs[1:6])
         cost = self.costs.syscall_cycles()
@@ -343,10 +346,11 @@ class Kernel:
             cost += self._charge_trace_stop()
             action = proc.tracer.on_syscall_entry(proc, sysno, args)
             # The tracer may have rewritten the argument registers.
-            sysno = proc.cpu.regs.gprs[0]
-            args = tuple(proc.cpu.regs.gprs[1:6])
+            regs = cpu.regs.gprs
+            sysno = regs[0]
+            args = tuple(regs[1:6])
 
-        if not proc.runnable or not proc.alive:
+        if not proc.runnable:
             # The tracer stalled (or killed) the tracee at syscall entry:
             # nothing executes or retires; the same syscall re-stops when
             # the process resumes (checker record-starvation, paper §2.3).
@@ -359,16 +363,17 @@ class Kernel:
             cost += extra
 
         self.stats["syscalls"] += 1
-        if proc.alive:
-            proc.cpu.regs.gprs[0] = result
-            proc.cpu.pc += 4
-            proc.cpu.instr_retired += 1
-            proc.cpu.far_branches_retired += 1
+        alive = proc.alive
+        if alive:
+            cpu.regs.gprs[0] = result
+            cpu.pc += 4
+            cpu.instr_retired += 1
+            cpu.far_branches_retired += 1
             self._inject_overcount(proc)
         if proc.tracer is not None:
             cost += self._charge_trace_stop()
             proc.tracer.on_syscall_exit(proc, sysno, args,
-                                        result if proc.alive else 0)
+                                        result if alive else 0)
         return cost
 
     def _dispatch(self, proc: Process, sysno: int,

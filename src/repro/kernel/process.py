@@ -28,6 +28,11 @@ class ProcessState(enum.Enum):
     DEAD = "dead"          # reaped; resources released
 
 
+_RUNNING = ProcessState.RUNNING
+_ZOMBIE = ProcessState.ZOMBIE
+_DEAD = ProcessState.DEAD
+
+
 #: Magic return address installed as ``lr`` when a signal handler runs;
 #: jumping to it traps back into the kernel which restores the interrupted
 #: context (our stand-in for ``sigreturn``).
@@ -55,6 +60,8 @@ class Process:
         self.mem = mem
         self.cpu = cpu
         self.nondet = nondet
+        # Also sets ``alive`` and ``runnable``, plain attributes because
+        # the executor reads them several times per quantum.
         self.state = ProcessState.RUNNING
         self.exit_code: Optional[int] = None
         #: set by Kernel.oom_kill — distinguishes running out of RAM from
@@ -79,6 +86,10 @@ class Process:
         #: (hw_cycles, kind) work parked until the process lands on a core
         #: (see Executor.charge_deferred).
         self.pending_charges: List[tuple] = []
+        #: DRAM intensity of the last quantum (memory operations per
+        #: instruction that miss the caches): what this process adds to
+        #: its co-runners' DRAM contention.
+        self.dram_intensity = 0.0
 
         # Accounting (virtual seconds / counts).
         self.user_time = 0.0
@@ -113,9 +124,13 @@ class Process:
     # -- liveness ----------------------------------------------------------------
 
     @property
-    def alive(self) -> bool:
-        return self.state not in (ProcessState.ZOMBIE, ProcessState.DEAD)
+    def state(self) -> ProcessState:
+        return self._state
 
-    @property
-    def runnable(self) -> bool:
-        return self.state == ProcessState.RUNNING
+    @state.setter
+    def state(self, state: ProcessState) -> None:
+        """Set the state and the two flags derived from it: ``alive``
+        (not exited) and ``runnable`` (eligible to execute)."""
+        self._state = state
+        self.alive = state is not _ZOMBIE and state is not _DEAD
+        self.runnable = state is _RUNNING

@@ -85,8 +85,15 @@ class NullSink(FileObject):
 class DevZero(FileObject):
     name = "/dev/zero"
 
+    def __init__(self):
+        #: The zeros of the last read: a loop of equal reads (the 1 MB
+        #: read stress) allocates them once.
+        self._zeros = b""
+
     def read(self, length: int) -> bytes:
-        return b"\x00" * length
+        if len(self._zeros) != length:
+            self._zeros = bytes(length)
+        return self._zeros
 
     def write(self, data: bytes) -> int:
         return len(data)

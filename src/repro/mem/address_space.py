@@ -342,40 +342,54 @@ class AddressSpace:
         pte.frame.data[offset] = value & 0xFF
 
     def read_bytes(self, address: int, length: int) -> bytes:
-        """Kernel-side buffer read (syscall arguments, comparator)."""
-        out = bytearray()
+        """Kernel-side buffer read (syscall arguments, comparator).
+
+        Every page is looked up before any byte is copied, and the bytes
+        are copied once, straight from the frames into the result.
+        """
+        page_size = self.page_size
+        pages = self.pages
+        spans = []
         while length > 0:
-            pte, offset = self._pte_for_read(address)
-            take = min(length, self.page_size - offset)
-            out.extend(pte.frame.data[offset:offset + take])
+            vpn, offset = divmod(address, page_size)
+            pte = pages.get(vpn)
+            if pte is None:
+                raise PageFault(address, "read")
+            take = min(length, page_size - offset)
+            spans.append((pte.frame.data, offset, offset + take))
             address += take
             length -= take
-        return bytes(out)
+        return b"".join([memoryview(data)[start:end]
+                         for data, start, end in spans])
 
     def write_bytes(self, address: int, data: bytes, force: bool = False) -> None:
         """Kernel-side buffer write (syscall results, replay injection).
 
-        With ``force`` the write ignores page protection (kernel-mode write,
-        e.g. populating a read-only file mapping); COW resolution and
-        soft-dirty marking still apply.
+        Page by page: a page that faults raises with the earlier pages
+        already written.  With ``force`` the write ignores page protection
+        (kernel-mode write, e.g. populating a read-only file mapping);
+        COW resolution and soft-dirty marking still apply.
         """
-        position = 0
-        while position < len(data):
-            if force:
-                vpn, offset = divmod(address + position, self.page_size)
-                pte = self.pages.get(vpn)
-                if pte is None:
-                    raise PageFault(address + position, "write")
+        page_size = self.page_size
+        pages = self.pages
+        with memoryview(data) as view:
+            size = len(view)
+            position = 0
+            while position < size:
+                at = address + position
+                vpn, offset = divmod(at, page_size)
+                pte = pages.get(vpn)
+                if pte is None or not (force or pte.writable):
+                    raise PageFault(at, "write")
                 if pte.cow:
                     self._resolve_cow(pte)
                 if not pte.soft_dirty:
                     pte.soft_dirty = True
                     self.dirty_marks += 1
-            else:
-                pte, offset = self._pte_for_write(address + position)
-            take = min(len(data) - position, self.page_size - offset)
-            pte.frame.data[offset:offset + take] = data[position:position + take]
-            position += take
+                take = min(size - position, page_size - offset)
+                pte.frame.data[offset:offset + take] = \
+                    view[position:position + take]
+                position += take
 
     # -- code segment ----------------------------------------------------------
 

@@ -158,25 +158,24 @@ class PhaseProfiler:
     """Charges cycles and stall time to phases as the run executes.
 
     The profiler is wired into the executor (cycle charges) and the
-    kernel (span closure on process exit).  ``role_of`` maps a process
-    to its runtime role (``"main"``/``"checker"``) so un-annotated
-    charges default sensibly — a checker's execution is ``replay``,
-    everything else is ``main_exec``.  ``segment_of`` maps a process to
-    the segment index its work belongs to, feeding the per-segment
-    ledger.  A disabled profiler (``NULL_PROFILER``) accepts every call
-    and records nothing, so instrumentation sites need no guards.
+    kernel (span closure on process exit).  ``attribute`` maps a process
+    to the default phase of its un-annotated charges and the segment
+    index its work belongs to, feeding the per-segment ledger: the
+    runtime answers ``replay`` for a checker's execution and
+    ``main_exec`` for everything else.  Without it every charge is
+    ``main_exec`` and belongs to no segment.  A disabled profiler
+    (``NULL_PROFILER``) accepts every call and records nothing, so
+    instrumentation sites need no guards.
     """
 
     def __init__(self,
                  clock: Optional[Callable[[], float]] = None,
-                 role_of: Optional[Callable[[object], Optional[str]]] = None,
-                 segment_of: Optional[
-                     Callable[[object], Optional[int]]] = None,
+                 attribute: Optional[
+                     Callable[[object], Tuple[str, Optional[int]]]] = None,
                  enabled: bool = True) -> None:
         self.enabled = enabled
         self.clock = clock or (lambda: 0.0)
-        self.role_of = role_of or (lambda proc: None)
-        self.segment_of = segment_of or (lambda proc: None)
+        self.attribute = attribute or (lambda proc: (MAIN_EXEC, None))
         self.cycles: Dict[str, float] = {}
         self.stall_seconds: Dict[str, float] = {}
         self.segment_cycles: Dict[int, Dict[str, float]] = {}
@@ -191,22 +190,23 @@ class PhaseProfiler:
         """Charge ``hw_cycles`` to ``phase`` (and a segment's ledger)."""
         if not self.enabled or hw_cycles == 0:
             return
-        self.cycles[phase] = self.cycles.get(phase, 0.0) + hw_cycles
+        cycles = self.cycles
+        cycles[phase] = cycles.get(phase, 0.0) + hw_cycles
         self.total_cycles += hw_cycles
         if segment is not None:
-            ledger = self.segment_cycles.setdefault(segment, {})
+            ledger = self.segment_cycles.get(segment)
+            if ledger is None:
+                ledger = self.segment_cycles[segment] = {}
             ledger[phase] = ledger.get(phase, 0.0) + hw_cycles
 
     def charge_for(self, proc, hw_cycles: float,
                    phase: Optional[str] = None) -> None:
         """Charge cycles on behalf of a process, resolving the default
-        phase from its role and the segment from ``segment_of``."""
+        phase and the segment through ``attribute``."""
         if not self.enabled or hw_cycles == 0:
             return
-        if phase is None:
-            role = self.role_of(proc)
-            phase = REPLAY if role == "checker" else MAIN_EXEC
-        self.charge(phase, hw_cycles, segment=self.segment_of(proc))
+        default, segment = self.attribute(proc)
+        self.charge(default if phase is None else phase, hw_cycles, segment)
 
     # -- stall spans -------------------------------------------------------
 

@@ -21,6 +21,8 @@ class Core:
             raise ValueError(f"bad cluster {cluster!r}")
         self.index = index
         self.cluster = cluster
+        #: The name trace events carry, e.g. ``big0`` or ``little5``.
+        self.label = f"{cluster}{index}"
         self.freq_hz = freq_hz
         self.freq_min_hz = freq_min_hz
         self.freq_max_hz = freq_max_hz

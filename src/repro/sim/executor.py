@@ -15,14 +15,14 @@ contention, and per-core energy.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro import abi
 from repro.common.errors import FramePoolExhausted, SimulationError
 from repro.cpu import interpreter
 from repro.cpu.exceptions import FaultKind, StopReason
 from repro.kernel.kernel import Kernel
-from repro.kernel.process import Process, ProcessState
+from repro.kernel.process import Process
 from repro.metrics import NULL_PROFILER
 from repro.sim.cores import Core, make_cores
 from repro.sim.platform import PlatformConfig
@@ -30,8 +30,15 @@ from repro.trace import NULL_TRACE
 from repro.trace import events as tev
 
 
-def core_label(core: Core) -> str:
-    return f"{core.cluster}{core.index}"
+_BUDGET = StopReason.BUDGET
+_SYSCALL = StopReason.SYSCALL
+_FAULT = StopReason.FAULT
+_OOM = StopReason.OOM
+_HALTED = StopReason.HALTED
+#: Stops a tracer handles (untraced, the executor's own defaults apply).
+_TRACER_STOPS = frozenset((
+    StopReason.BREAKPOINT, StopReason.COUNTER_OVERFLOW,
+    StopReason.INSTR_OVERFLOW, StopReason.BRK, StopReason.NONDET))
 
 _FAULT_SIGNALS = {
     FaultKind.PAGE_FAULT: abi.SIGSEGV,
@@ -77,7 +84,8 @@ class Executor:
         # Through a weak reference: this executor holds the kernel.
         executor = weakref.ref(self)
         kernel.time_fn = lambda: executor().current_time
-        self._cow_seen = {}
+        #: Core power (W) per (cluster, DVFS point), computed on first use.
+        self._power_w = {}
         self._shutdown = False
         #: Event sink; the Parallaft runtime installs its own buffer.
         self.trace = NULL_TRACE
@@ -108,19 +116,19 @@ class Executor:
             proc.core.occupant = None
             if self.trace.enabled:
                 self.trace.emit(tev.CORE_UNASSIGN, pid=proc.pid,
-                                core=core_label(proc.core))
+                                core=proc.core.label)
         proc.core = core
         core.occupant = proc
         if self.trace.enabled:
             self.trace.emit(tev.CORE_ASSIGN, pid=proc.pid,
-                            core=core_label(core))
+                            core=core.label)
         self._flush_pending_charges(proc)
 
     def unassign(self, proc: Process) -> None:
         if proc.core is not None:
             if self.trace.enabled:
                 self.trace.emit(tev.CORE_UNASSIGN, pid=proc.pid,
-                                core=core_label(proc.core))
+                                core=proc.core.label)
             proc.core.occupant = None
             proc.core = None
 
@@ -192,68 +200,83 @@ class Executor:
                 self.charge(proc, hw_cycles, kind, phase=phase)
 
     def _account_core_energy(self, core: Core, seconds: float) -> None:
-        power = (self.platform.core_static_power_w(core.cluster)
-                 + self.platform.core_dyn_power_w(core.cluster, core.freq_hz))
+        key = (core.cluster, core.freq_hz)
+        power = self._power_w.get(key)
+        if power is None:
+            power = self._power_w[key] = (
+                self.platform.core_static_power_w(core.cluster)
+                + self.platform.core_dyn_power_w(core.cluster, core.freq_hz))
         core.energy_joules += power * seconds
         core.busy_seconds += seconds
 
     # -- contention inputs ---------------------------------------------------------
 
-    def _dram_pressure(self, proc: Process) -> float:
-        """Co-runners' DRAM intensity, weighted by their clock relative to
-        the big cores (slow little checkers generate less traffic)."""
-        pressure = 0.0
-        for core in self.cores:
-            other = core.occupant
-            if other is None or other is proc or not other.runnable:
-                continue
-            intensity = getattr(other, "_recent_dram", 0.0)
-            pressure += intensity * (core.freq_hz / self.platform.big_freq_hz)
-        return pressure
+    def _contention(self, proc: Process, cluster: str) -> Tuple[int, float]:
+        """What ``proc``'s co-runners cost it, in one pass over the cores.
 
-    def _cluster_active(self, proc: Process) -> int:
-        """Processes (including ``proc``) running in proc's cluster: they
-        share its cache capacity."""
-        cluster = proc.core.cluster
-        count = 0
+        Returns the number of runnable processes on the cores of
+        ``cluster``, proc's cluster (proc counts itself; at least 1):
+        they share its cache capacity.  And the DRAM pressure: the DRAM
+        intensity of every other runnable occupant, weighted by its
+        core's clock relative to the big cores (slow little checkers
+        generate less traffic), summed in core order.
+        """
+        n_active = 0
+        pressure = 0.0
+        big_freq_hz = self.platform.big_freq_hz
         for core in self.cores:
             other = core.occupant
-            if (core.cluster == cluster and other is not None
-                    and other.runnable):
-                count += 1
-        return max(1, count)
+            if other is not None and other.runnable:
+                if core.cluster == cluster:
+                    n_active += 1
+                if other is not proc:
+                    pressure += other.dram_intensity * (core.freq_hz
+                                                        / big_freq_hz)
+        return max(1, n_active), pressure
 
     # -- the step loop -----------------------------------------------------------------
-
-    def _candidates(self) -> List[Process]:
-        return [p for p in self.kernel.unreaped.values()
-                if p.runnable and p.core is not None]
 
     def step(self) -> bool:
         """Advance the most-behind runnable process by one quantum.
 
         Returns False when nothing is runnable.
         """
-        candidates = self._candidates()
-        if not candidates or self._shutdown:
+        if self._shutdown:
             return False
-        proc = min(candidates,
-                   key=lambda p: max(p.core.local_time, p.ready_time))
+        # The runnable, placed process that can start earliest; on a tie
+        # the first in ``unreaped`` (creation) order.
+        proc = None
+        start = 0.0
+        for other in self.kernel.unreaped.values():
+            if other.runnable:
+                core = other.core
+                if core is not None:
+                    ready = core.local_time
+                    if other.ready_time > ready:
+                        ready = other.ready_time
+                    if proc is None or ready < start:
+                        proc = other
+                        start = ready
+        if proc is None:
+            return False
         core = proc.core
-        start = max(core.local_time, proc.ready_time)
+        kernel = self.kernel
+        platform = self.platform
         self.current_time = start
         self.current_proc = proc
         self.steps += 1
 
-        sys_cycles = self.kernel.deliver_pending_signal(proc)
+        sys_cycles = (kernel.deliver_pending_signal(proc)
+                      if proc.pending_signals else 0.0)
 
         user_seconds = 0.0
         executed = 0
-        if proc.alive and proc.runnable:
+        if proc.runnable:
             cpu = proc.cpu
+            mem = proc.mem
             instr_before = cpu.instr_retired
             mem_before = cpu.mem_ops_retired
-            cow_before = proc.mem.cow_faults
+            cow_before = mem.cow_faults
             try:
                 stop = interpreter.run(proc, self.quantum)
             except FramePoolExhausted as exc:
@@ -261,43 +284,42 @@ class Executor:
                 # non-store machinery): the cpu write-back was skipped, so
                 # the process is NOT resumable — never block here.
                 stop = None
-                self.kernel.oom_kill(proc, exc.needed)
+                kernel.oom_kill(proc, exc.needed)
             executed = stop.executed if stop is not None else 0
             instr_delta = cpu.instr_retired - instr_before
-            mem_delta = cpu.mem_ops_retired - mem_before
-            cow_delta = proc.mem.cow_faults - cow_before
 
             if instr_delta > 0:
-                mem_ratio = mem_delta / instr_delta
-                footprint = proc.mem.rss_bytes()
-                n_active = self._cluster_active(proc)
-                own_dram = mem_ratio * self.platform.miss_factor(
-                    core.cluster, footprint, n_active)
-                proc._recent_dram = own_dram
-                cpi = self.platform.cpi(core.cluster, mem_ratio, footprint,
-                                        n_active)
-                dram = 1.0 + (self.platform.dram_coeff * own_dram
-                              * self._dram_pressure(proc))
-                virtual_cycles = instr_delta * cpi * dram
-                hw_cycles = virtual_cycles * self.platform.cycle_scale
+                mem_delta = cpu.mem_ops_retired - mem_before
+                cluster = core.cluster
+                n_active, pressure = self._contention(proc, cluster)
+                miss_ratio = (mem_delta / instr_delta) * platform.miss_factor(
+                    cluster, len(mem.pages) * mem.page_size, n_active)
+                proc.dram_intensity = miss_ratio
+                dram = 1.0 + (platform.dram_coeff * miss_ratio * pressure)
+                virtual_cycles = (instr_delta
+                                  * platform.miss_cpi(cluster, miss_ratio,
+                                                      n_active)
+                                  * dram)
+                hw_cycles = virtual_cycles * platform.cycle_scale
                 user_seconds = hw_cycles / core.freq_hz
                 proc.user_cycles += hw_cycles
                 self.charged_cycles += hw_cycles
                 self.profiler.charge_for(proc, hw_cycles)
-                if core.is_big:
+                if cluster == "big":
                     proc.cycles_big += hw_cycles
                 else:
                     proc.cycles_little += hw_cycles
                 self.total_mem_ops += mem_delta
                 self.dram_op_energy_j += (mem_delta
-                                          * self.platform.mem_op_energy_j)
+                                          * platform.mem_op_energy_j)
 
+            cow_delta = mem.cow_faults - cow_before
             if cow_delta:
-                sys_cycles += self.kernel.costs.cow_cycles(
-                    self.platform.page_size, cow_delta)
+                sys_cycles += kernel.costs.cow_cycles(platform.page_size,
+                                                      cow_delta)
 
             self.current_time = start + user_seconds
-            if stop is not None:
+            if stop is not None and stop.reason is not _BUDGET:
                 try:
                     sys_cycles += self._handle_stop(proc, stop)
                 except FramePoolExhausted as exc:
@@ -305,7 +327,7 @@ class Executor:
                     # recorded read into a checker) ran out of frames
                     # mid-side-effect: partially-applied state is not
                     # resumable, so blocking is not offered.
-                    self.kernel.oom_kill(proc, exc.needed)
+                    kernel.oom_kill(proc, exc.needed)
 
         sys_seconds = sys_cycles / core.freq_hz
         if sys_cycles:
@@ -325,46 +347,44 @@ class Executor:
         if not proc.alive and proc.core is not None:
             self.unassign(proc)
 
-        self._fire_samplers()
+        if self.samplers:
+            self._fire_samplers()
         return True
 
     def _handle_stop(self, proc: Process, stop) -> float:
-        """Dispatch a stop reason; returns extra hw-cycle cost."""
+        """Dispatch a stop other than BUDGET; returns extra hw-cycle cost."""
         reason = stop.reason
-        if reason in (StopReason.BUDGET,):
-            return 0.0
-        if reason == StopReason.OOM:
+        kernel = self.kernel
+        if reason is _SYSCALL:
+            return kernel.handle_syscall(proc)
+        if reason is _FAULT:
+            if kernel.is_sigreturn_fault(stop.fault):
+                kernel.sigreturn(proc)
+                # sigreturn is itself a kernel entry (context restore).
+                return kernel.costs.signal_delivery_cycles
+            signo = _FAULT_SIGNALS.get(stop.fault.kind, abi.SIGILL)
+            kernel.send_signal(proc, signo, external=False)
+            return kernel.deliver_pending_signal(proc)
+        if reason is _OOM:
             # The interpreter stopped cleanly on the faulting store (pc
             # un-advanced), so the tracer may park the process and retry
             # the allocation later: blocking is safe here.
-            self.kernel.oom_kill(proc, stop.needed, can_block=True)
+            kernel.oom_kill(proc, stop.needed, can_block=True)
             return 0.0
-        if reason == StopReason.SYSCALL:
-            return self.kernel.handle_syscall(proc)
-        if reason == StopReason.HALTED:
-            self.kernel.exit_process(proc, 0)
+        if reason is _HALTED:
+            kernel.exit_process(proc, 0)
             return 0.0
-        if reason == StopReason.FAULT:
-            if self.kernel.is_sigreturn_fault(stop.fault):
-                self.kernel.sigreturn(proc)
-                # sigreturn is itself a kernel entry (context restore).
-                return self.kernel.costs.signal_delivery_cycles
-            signo = _FAULT_SIGNALS.get(stop.fault.kind, abi.SIGILL)
-            self.kernel.send_signal(proc, signo, external=False)
-            return self.kernel.deliver_pending_signal(proc)
-        if reason in (StopReason.BREAKPOINT, StopReason.COUNTER_OVERFLOW,
-                      StopReason.INSTR_OVERFLOW, StopReason.BRK,
-                      StopReason.NONDET):
+        if reason in _TRACER_STOPS:
             if proc.tracer is not None:
-                cost = self.kernel._charge_trace_stop()
+                cost = kernel._charge_trace_stop()
                 proc.tracer.on_stop(proc, stop)
                 return cost
             # Untraced: a brk instruction is a SIGTRAP; stray overflows and
             # breakpoints are disarmed and ignored.
-            if reason == StopReason.BRK:
-                self.kernel.send_signal(proc, abi.SIGTRAP, external=False)
-                return self.kernel.deliver_pending_signal(proc)
-            if reason == StopReason.NONDET:
+            if reason is StopReason.BRK:
+                kernel.send_signal(proc, abi.SIGTRAP, external=False)
+                return kernel.deliver_pending_signal(proc)
+            if reason is StopReason.NONDET:
                 # trap_nondet without a tracer is a misconfiguration.
                 raise SimulationError(
                     f"pid {proc.pid}: nondet trap with no tracer")
@@ -403,8 +423,24 @@ class Executor:
         """Run until nothing is runnable."""
         for _ in range(max_steps):
             if not self.step():
+                self._release_exited()
                 return
         raise SimulationError("executor exceeded max_steps (livelock?)")
+
+    def _release_exited(self) -> None:
+        """Take processes that exited off their cores.
+
+        A process killed while another one stepped (an application
+        torn down on a detected error) never steps again, so it keeps
+        its core, and the core and the process refer to each other: only
+        the cyclic garbage collector would free the finished run.  This
+        is teardown, not simulated work, so it emits no trace event.
+        """
+        for core in self.cores:
+            proc = core.occupant
+            if proc is not None and not proc.alive:
+                proc.core = None
+                core.occupant = None
 
     # -- energy summary --------------------------------------------------------------
 

@@ -109,32 +109,39 @@ class PlatformConfig:
     def core_static_power_w(self, cluster: str) -> float:
         return self.big_static_w if cluster == "big" else self.little_static_w
 
-    def effective_cache_bytes(self, cluster: str, n_active: int = 1) -> float:
-        cache = (self.big_cache_bytes if cluster == "big"
-                 else self.little_cache_bytes)
-        share = (self.big_cache_share_factor if cluster == "big"
-                 else self.little_cache_share_factor)
-        return cache / (1.0 + share * max(0, n_active - 1))
-
     def miss_factor(self, cluster: str, footprint_bytes: float,
                     n_active: int = 1) -> float:
         """Fraction of memory operations that miss the cluster's caches:
-        0 while the working set fits the (co-runner-shared) capacity,
-        saturating at 1 once it is twice the capacity."""
-        cache = self.effective_cache_bytes(cluster, n_active)
+        0 while the working set fits the capacity its ``n_active``
+        processes share, saturating at 1 once it is twice that."""
+        if cluster == "big":
+            cache = self.big_cache_bytes
+            share = self.big_cache_share_factor
+        else:
+            cache = self.little_cache_bytes
+            share = self.little_cache_share_factor
+        cache = cache / (1.0 + share * max(0, n_active - 1))
         if footprint_bytes <= cache:
             return 0.0
         return min(1.0, (footprint_bytes - cache) / cache)
 
     def cpi(self, cluster: str, mem_ratio: float,
             footprint_bytes: float = 0.0, n_active: int = 1) -> float:
-        effective = mem_ratio * self.miss_factor(cluster, footprint_bytes,
-                                                 n_active)
+        return self.miss_cpi(
+            cluster,
+            mem_ratio * self.miss_factor(cluster, footprint_bytes, n_active),
+            n_active)
+
+    def miss_cpi(self, cluster: str, miss_ratio: float,
+                 n_active: int = 1) -> float:
+        """:meth:`cpi` from the memory operations per instruction that
+        miss (``mem_ratio * miss_factor``), which the executor already
+        holds as the process's DRAM intensity."""
         if cluster == "big":
-            base = self.big_cpi_base + self.big_mem_penalty * effective
+            base = self.big_cpi_base + self.big_mem_penalty * miss_ratio
         else:
             base = (self.little_cpi_base
-                    + self.little_mem_penalty * effective)
+                    + self.little_mem_penalty * miss_ratio)
         return base * (1.0 + self.corunner_floor * max(0, n_active - 1))
 
     def little_slowdown(self, mem_ratio: float,

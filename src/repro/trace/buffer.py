@@ -67,13 +67,11 @@ class TraceBuffer:
             return None
         if ts is None:
             ts = self.clock() if self.clock is not None else 0.0
-        if len(self._events) == self.capacity:
+        events = self._events
+        if len(events) == self.capacity:
             self.dropped += 1
-        event = TraceEvent(
-            ts=ts, kind=kind, pid=pid, role=role, core=core,
-            segment=segment, payload=payload,
-        )
-        self._events.append(event)
+        event = TraceEvent(ts, kind, pid, role, core, segment, payload)
+        events.append(event)
         return event
 
     def events(self, kind: Optional[str] = None) -> List[TraceEvent]:

@@ -18,6 +18,7 @@ from repro.core import (
     StateComparator,
 )
 from repro.core.comparator import audit_clean_pages, state_digest
+from repro.core.segment import SegmentStatus
 from repro.core.rr_log import (
     NondetRecord,
     RrLog,
@@ -426,6 +427,37 @@ class TestEndToEndLogCorrupt:
         assert stats.recovery_rollbacks == 0
         assert tev.ROLLBACK not in trace_kinds(runtime)
         InvariantChecker(recovery=True).assert_ok(runtime.trace)
+
+
+class TestLogStrikeOnAVerifiedSegment:
+    """A verified segment drops its log.  A log strike aimed at it then
+    misses, just as it did when the records stayed but the replay cursor
+    had passed them all."""
+
+    def strike(self, runtime):
+        controller = InfraFaultController(runtime, InfraFaultSite(
+            **TestEndToEndLogCorrupt.SITE))
+        controller._strike_log(runtime.main, "main")
+        return controller
+
+    def test_strike_misses_with_the_records_gone_or_all_consumed(self):
+        runtime = Parallaft(compile_source(WORKLOAD),
+                            config=make_config(False), platform=apple_m2())
+        assert not runtime.run().errors
+        segment = runtime.segments[1]
+        assert segment.status is SegmentStatus.CHECKED
+        assert len(segment.log) == 0
+        consumed = segment.cursor.position
+        assert consumed > 0
+        gone = self.strike(runtime)
+        assert gone._log_missed and not gone.infra_fired
+
+        records = [NondetRecord(pc=0x1000, opcode=60, value=v)
+                   for v in range(consumed)]
+        segment.log.records = records
+        passed = self.strike(runtime)
+        assert passed._log_missed and not passed.infra_fired
+        assert [r.value for r in records] == list(range(consumed))
 
 
 class TestEndToEndCheckpointCorrupt:

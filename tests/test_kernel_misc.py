@@ -17,6 +17,7 @@ from repro.cpu.nondet import (
 from repro.kernel import Kernel, KernelCostModel
 from repro.kernel.kernel import random_bytes
 from repro.kernel.vfs import Console, DevUrandom, DevZero, MemFile, NullSink, Vfs
+from repro.minic import compile_source
 
 
 class TestVfs:
@@ -160,6 +161,22 @@ class TestRngPool:
         assert bulk.getrandbits(64) == per_byte.getrandbits(64)
         assert random_bytes(bulk, 5) == bytes(
             per_byte.getrandbits(8) for _ in range(5))
+
+
+    def test_overcount_draws_equal_randint_on_a_twin_stream(self):
+        """The kernel's cached overcount draw is ``randint(0, max)`` on
+        the ``overcount`` stream, draw for draw."""
+        kernel = Kernel(page_size=4096, seed=3)
+        proc = kernel.spawn(compile_source("func main() {}"))
+        twin = RngPool(3).stream("overcount")
+        for i in range(10_000):
+            maximum = (3, 1, 6, 8)[i % 4]
+            kernel.counters.instr_overcount_max = maximum
+            before = proc.cpu.instr_overcount
+            kernel._inject_overcount(proc)
+            assert proc.cpu.instr_overcount - before == \
+                twin.randint(0, maximum)
+        assert kernel.rng.stream("overcount").random() == twin.random()
 
 
 class TestAbi:

@@ -376,3 +376,98 @@ class TestAccounting:
         pages = space.mapped_pages
         space.mmap(0, 2 * PAGE, PROT_READ, MAP_PRIVATE | MAP_ANONYMOUS)
         assert space.mapped_pages == pages + 2
+
+
+class TestBufferAccess:
+    """``read_bytes``/``write_bytes``, page by page across boundaries."""
+
+    BASE = 0x4000_0000
+
+    def three_pages(self):
+        """Three private writable pages at ``BASE``, pages 0 and 2 filled
+        with their index."""
+        pool, space = make_space()
+        space.mmap(self.BASE, 3 * PAGE, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED)
+        for page in (0, 2):
+            space.write_bytes(self.BASE + page * PAGE, bytes([page]) * PAGE)
+        return pool, space
+
+    def page_bytes(self, space, page):
+        return space.page_bytes(self.BASE // PAGE + page)
+
+    def test_round_trip_across_pages(self):
+        _, space = self.three_pages()
+        data = bytes(range(251)) * 40     # 10,040 bytes over three pages
+        space.write_bytes(self.BASE + 100, data)
+        read = space.read_bytes(self.BASE + 100, len(data))
+        assert type(read) is bytes and read == data
+        assert bytes(space.load_byte(self.BASE + 100 + i)
+                     for i in range(0, len(data), 97)) == data[::97]
+        assert space.read_bytes(self.BASE, 100) == bytes(100)
+        end = self.BASE + 100 + len(data)
+        assert space.read_bytes(end, 3 * PAGE - 100 - len(data)) == \
+            bytes([2]) * (3 * PAGE - 100 - len(data))
+
+    def test_read_crossing_into_unmapped_page_faults_there(self):
+        _, space = self.three_pages()
+        space.munmap(self.BASE + 2 * PAGE, PAGE)
+        with pytest.raises(PageFault) as info:
+            space.read_bytes(self.BASE + PAGE + 8, PAGE)
+        assert info.value.address == self.BASE + 2 * PAGE
+        assert info.value.access == "read"
+
+    def test_zero_length_touches_no_page(self):
+        _, space = make_space()
+        assert space.read_bytes(0x7000_0000, 0) == b""
+        space.write_bytes(0x7000_0000, b"")
+        assert space.dirty_marks == 0
+
+    def test_write_fault_mid_span_keeps_exactly_the_earlier_pages(self):
+        _, space = self.three_pages()
+        space.mprotect(self.BASE + 2 * PAGE, PAGE, PROT_READ)
+        space.clear_soft_dirty()
+        with pytest.raises(PageFault) as info:
+            space.write_bytes(self.BASE + 8, b"\xab" * (3 * PAGE - 16))
+        assert info.value.address == self.BASE + 2 * PAGE
+        assert info.value.access == "write"
+        assert self.page_bytes(space, 0) == bytes(8) + b"\xab" * (PAGE - 8)
+        assert self.page_bytes(space, 1) == b"\xab" * PAGE
+        assert self.page_bytes(space, 2) == bytes([2]) * PAGE
+        assert space.dirty_marks == 2
+
+    def test_force_writes_a_read_only_page(self):
+        _, space = self.three_pages()
+        space.mprotect(self.BASE + PAGE, PAGE, PROT_READ)
+        data = b"\x5a" * (PAGE + 64)
+        with pytest.raises(PageFault):
+            space.write_bytes(self.BASE + PAGE - 32, data)
+        space.write_bytes(self.BASE + PAGE - 32, data, force=True)
+        assert space.read_bytes(self.BASE + PAGE - 32, len(data)) == data
+        assert self.page_bytes(space, 2)[:32] == b"\x5a" * 32
+
+    def test_copy_on_write_is_resolved_per_written_page(self):
+        pool, space = self.three_pages()
+        child = space.fork()
+        copies = pool.frames_copied
+        faults = space.cow_faults
+        space.write_bytes(self.BASE + PAGE - 4, b"\x77" * 8)  # pages 0, 1
+        assert space.cow_faults == faults + 2
+        assert pool.frames_copied == copies + 2
+        first = self.BASE // PAGE
+        assert space.frame_id(first) != child.frame_id(first)
+        assert space.frame_id(first + 1) != child.frame_id(first + 1)
+        assert space.frame_id(first + 2) == child.frame_id(first + 2)
+        assert child.read_bytes(self.BASE + PAGE - 4, 8) == \
+            bytes(4) + bytes(4)
+        assert space.read_bytes(self.BASE + PAGE - 4, 8) == b"\x77" * 8
+
+    def test_soft_dirty_marked_once_per_written_page(self):
+        _, space = self.three_pages()
+        space.clear_soft_dirty()
+        space.write_bytes(self.BASE + 2 * PAGE - 1, b"\x01\x02")
+        first = self.BASE // PAGE
+        assert space.soft_dirty_vpns() == [first + 1, first + 2]
+        assert space.dirty_marks == 2
+        space.write_bytes(self.BASE + 2 * PAGE, b"\x03" * 16)
+        assert space.dirty_marks == 2

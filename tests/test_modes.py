@@ -542,6 +542,35 @@ class TestModeComparison:
         assert tmr.detected_fault_indices \
             >= summaries["parallaft"].detected_fault_indices
 
+    def test_finished_comparison_leaves_nothing_to_the_cycle_collector(
+            self):
+        """With the cyclic garbage collector off, a comparison's runtimes,
+        kernels and page frames are freed by reference counting: the
+        fault hooks reach their runtime weakly, and exited processes
+        leave their cores when the run ends.  The first comparison only
+        warms caches."""
+        import gc
+        from repro.modes import run_mode_comparison
+
+        def compare():
+            run_mode_comparison(
+                compile_source(synthetic_source(total_iters=3000)),
+                injections=1)
+
+        compare()
+        gc.collect()
+        gc.disable()
+        try:
+            compare()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            left = {type(obj).__name__ for obj in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert not left & {"Parallaft", "Kernel", "Frame", "Process"}
+
     def test_render_mode_comparison_table(self):
         from repro.harness.report import NA, render_mode_comparison
         from repro.modes.comparison import (ModeInjectionRecord,

@@ -277,3 +277,44 @@ class TestDeterminismUnderRuntime:
             assert not stats.error_detected
             outs.add(stats.stdout)
         assert len(outs) == 1
+
+
+class TestVerifiedLogs:
+    SOURCE = """
+    global grid[512];
+    global ent[1];
+    func main() {
+        var i; var round;
+        for (round = 0; round < 8; round = round + 1) {
+            getrandom(ent, 8);
+            for (i = 0; i < 512; i = i + 1) {
+                grid[i] = grid[i] * 3 + round + peek8(ent) % 7;
+            }
+            print_int(grid[round] % 1000003);
+        }
+    }
+    """
+
+    def run(self):
+        runtime, stats = run_protected(self.SOURCE,
+                                       slicing_period=600_000_000)
+        events = [(e.ts, e.kind, e.pid, e.role, e.core, e.segment,
+                   e.payload) for e in runtime.trace]
+        return runtime, stats.to_dict(), events
+
+    def test_a_verified_segment_drops_its_records(self, monkeypatch):
+        """Once a segment verifies, its R/R log records (the recorded
+        syscall bytes) are gone; nothing the run reports moves."""
+        from repro.core.rr_log import RrLog
+        runtime, stats, events = self.run()
+        segments = runtime.segments
+        assert len(segments) >= 3 \
+            and stats["counter.syscalls_recorded"] >= 16
+        assert all(s.status is SegmentStatus.CHECKED for s in segments)
+        assert [len(s.log) for s in segments] == [0] * len(segments)
+        monkeypatch.setattr(RrLog, "discard", lambda log: None)
+        kept, kept_stats, kept_events = self.run()
+        assert sum(len(s.log) for s in kept.segments) \
+            == stats["counter.syscalls_recorded"]
+        assert kept_stats == stats
+        assert kept_events == events

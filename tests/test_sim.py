@@ -219,6 +219,98 @@ class TestExecutor:
         assert executor.step() is False
 
 
+class TestScheduling:
+    """``step`` runs the runnable, placed process that can start
+    earliest: ``max(core.local_time, ready_time)``."""
+
+    SOURCE = "func main() { var i; for (i = 0; i < 500; i = i + 1) {} }"
+
+    def three_on_cores(self):
+        """Three processes placed against creation order: the first
+        created sits on the last core."""
+        kernel, executor = make_machine()
+        program = compile_source(self.SOURCE)
+        procs = [kernel.spawn(program) for _ in range(3)]
+        for proc, core in zip(reversed(procs), executor.big_cores):
+            executor.assign(proc, core)
+        return executor, procs
+
+    def test_a_tie_goes_to_the_first_unreaped_process(self):
+        executor, procs = self.three_on_cores()
+        executor.step()
+        assert executor.current_proc is procs[0]
+
+    def test_the_most_behind_process_runs(self):
+        executor, procs = self.three_on_cores()
+        procs[0].core.local_time = 2.0
+        procs[1].ready_time = 3.0
+        procs[2].core.local_time = 1.0
+        executor.step()
+        assert executor.current_proc is procs[2]
+        assert executor.current_time > 1.0
+
+    def test_parked_and_unplaced_processes_wait(self):
+        from repro.kernel.process import ProcessState
+        executor, procs = self.three_on_cores()
+        procs[0].state = ProcessState.PAUSED
+        executor.unassign(procs[1])
+        executor.step()
+        assert executor.current_proc is procs[2]
+
+
+def reference_contention(executor, proc):
+    """The per-step contention helpers the single core scan replaced,
+    copied verbatim apart from the intensity's attribute name."""
+    pressure = 0.0
+    for core in executor.cores:
+        other = core.occupant
+        if other is None or other is proc or not other.runnable:
+            continue
+        intensity = getattr(other, "dram_intensity", 0.0)
+        pressure += intensity * (core.freq_hz / executor.platform.big_freq_hz)
+    cluster = proc.core.cluster
+    count = 0
+    for core in executor.cores:
+        other = core.occupant
+        if (core.cluster == cluster and other is not None
+                and other.runnable):
+            count += 1
+    return max(1, count), pressure
+
+
+def test_contention_scan_matches_the_helpers_it_replaced():
+    """On random occupancy, states, DVFS points and DRAM intensities,
+    one pass over the cores gives the cluster's running count and the
+    DRAM pressure bit for bit."""
+    import random
+    from repro.kernel.process import ProcessState
+    kernel, executor = make_machine()
+    program = compile_source("func main() {}")
+    procs = [kernel.spawn(program) for _ in range(len(executor.cores))]
+    states = [ProcessState.RUNNING] * 3 + [
+        ProcessState.PAUSED, ProcessState.WAITING, ProcessState.ZOMBIE]
+    rng = random.Random(11)
+    for _ in range(300):
+        for core in executor.cores:
+            if core.occupant is not None:
+                core.occupant.core = None
+                core.occupant = None
+            if not core.is_big:
+                core.set_frequency(rng.uniform(0.5e9, 2.5e9))
+        for proc in procs:
+            proc.state = rng.choice(states)
+            proc.dram_intensity = rng.choice(
+                [0.0, rng.random(), rng.random() * 1e-3])
+            core = rng.choice(executor.cores + [None] * 4)
+            if core is not None and core.occupant is None:
+                core.occupant = proc
+                proc.core = core
+        for proc in procs:
+            if proc.core is not None:
+                assert executor._contention(proc, proc.core.cluster) \
+                    == reference_contention(executor, proc)
+
+
 class TestContention:
     def test_corunner_slows_memory_bound_process(self):
         """Two memory-bound processes on the big cluster run slower than
