@@ -73,9 +73,12 @@ class PressureController:
     """Watermark-driven degradation ladder for one Parallaft run."""
 
     def __init__(self, rt: "Parallaft"):
+        #: The runtime, through the weak proxy it hands the parts it
+        #: owns.  The pool's reclaim hook holds this controller, so the
+        #: controller reaches the pool through the runtime too: holding
+        #: either strongly would make a cycle.
         self.rt = rt
         self.config = rt.config
-        self.pool = rt.kernel.pool
         #: emergency reclaim: runs inside a failing allocation.
         self.pool.reclaim_hook = self._emergency_reclaim
         #: stage-1 state: engaged = episode active; the main is only
@@ -97,6 +100,10 @@ class PressureController:
         self._dirty_rate = 0.0
         self._last_alloc = self.pool.frames_allocated
         self._last_progress = 0.0
+
+    @property
+    def pool(self):
+        return self.rt.kernel.pool
 
     # ------------------------------------------------------------- polling
 

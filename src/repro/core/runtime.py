@@ -189,14 +189,16 @@ class Parallaft(Tracer):
         self.sched = CheckerScheduler(self.executor, self.config, self.stats)
         self.slicing_unit = (self.config.slicing_unit
                              or self.platform.slicing_unit)
+        # The recovery manager and the pressure controller get the proxy
+        # too: the runtime holds them.
         self.recovery: Optional[RecoveryManager] = (
-            RecoveryManager(self) if self.config.enable_recovery else None)
+            RecoveryManager(me) if self.config.enable_recovery else None)
         if self.config.mem_budget_bytes is not None:
             self.kernel.pool.set_budget(self.config.mem_budget_bytes)
         #: Memory-pressure degradation ladder; present iff the pool has a
         #: finite budget (from config or a caller-provided kernel).
         self.pressure: Optional[PressureController] = (
-            PressureController(self)
+            PressureController(me)
             if self.kernel.pool.budget_bytes is not None else None)
 
         self.main: Optional[Process] = None

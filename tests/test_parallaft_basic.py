@@ -318,3 +318,30 @@ class TestVerifiedLogs:
             == stats["counter.syscalls_recorded"]
         assert kept_stats == stats
         assert kept_events == events
+
+
+@pytest.mark.parametrize("overrides", [
+    {"enable_recovery": True}, {"mem_budget_bytes": 64 << 20}],
+    ids=["recovery", "budget"])
+def test_finished_run_is_freed_by_reference_counting(overrides):
+    """With the cyclic garbage collector off, a finished run whose runtime
+    owns a recovery manager or a pressure controller is freed, page
+    frames included, as soon as its last reference goes: both reach the
+    runtime through its weak proxy, and the controller that the pool's
+    reclaim hook holds does not hold the pool."""
+    import gc
+    import weakref
+    config = ParallaftConfig(**overrides)
+    config.slicing_period = 400_000_000
+    gc.collect()
+    gc.disable()
+    try:
+        runtime, stats = run_protected(LOOP_PROGRAM, config=config)
+        pte = next(iter(runtime.main.mem.pages.values()))
+        refs = [weakref.ref(runtime), weakref.ref(runtime.kernel),
+                weakref.ref(pte.frame)]
+        del runtime, pte
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
+    assert stats.stdout == LOOP_EXPECTED and not stats.errors
