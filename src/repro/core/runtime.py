@@ -914,13 +914,12 @@ class Parallaft(Tracer):
         record.result = result
         region = syscall_model.output_region(sysno, record.args, result)
         if region is not None:
-            address, length = region
-            try:
-                record.output_addr = address
-                record.output_data = proc.mem.read_bytes(address, length)
-            except Exception:
-                record.output_data = b""
-            self._charge_record_bytes(proc, len(record.output_data))
+            # The kernel's own buffer, shared: it is immutable bytes, and
+            # a loop of equal /dev/zero reads records one object.
+            record.output_addr, length = region
+            record.output_data = self.kernel.syscall_output
+            assert len(record.output_data) == length, (sysno, length)
+            self._charge_record_bytes(proc, length)
         if sysno == abi.SYS_MMAP and result > 0 \
                 and syscall_model.needs_aslr_fixup(sysno, record.args):
             # Replay will pin the checker's mapping to the address ASLR
@@ -1329,6 +1328,13 @@ class Parallaft(Tracer):
         if self.stall_cause(proc) == tev.STALL_PRESSURE:
             # Stage-1 backpressure put the main to sleep this quantum; the
             # boundary decision waits until the stall releases.
+            return
+        if proc.pending_signals and any(
+                not external and signo in proc.signal_handlers
+                for signo, external in proc.pending_signals):
+            # The main's own signal is in flight (its ``kill`` is recorded
+            # here, its delivery would be in the next segment, whose
+            # checker is forked with nothing pending): cut after delivery.
             return
         segment = self.current
         if self.slicing_unit == "cycles":

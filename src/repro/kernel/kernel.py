@@ -110,6 +110,9 @@ class Kernel:
         #: ``randint(0, n - 1)`` on the overcount stream, without the
         #: argument handling ``randint`` repeats on every trap.
         self._overcount_below = self.rng.stream("overcount")._randbelow
+        #: The buffer the current syscall wrote into its caller's pages
+        #: (``read``, ``getrandom``): the tracer records it as is.
+        self.syscall_output = b""
         #: Per-run statistics.
         self.stats: Dict[str, int] = {
             "forks": 0, "syscalls": 0, "signals_delivered": 0,
@@ -342,6 +345,7 @@ class Kernel:
         args = tuple(regs[1:6])
         cost = self.costs.syscall_cycles()
         action: Optional[SyscallAction] = None
+        self.syscall_output = b""
         if proc.tracer is not None:
             cost += self._charge_trace_stop()
             action = proc.tracer.on_syscall_entry(proc, sysno, args)
@@ -401,6 +405,7 @@ class Kernel:
             return -abi.EINVAL, 0.0
         data = file_object.read(length)
         proc.mem.write_bytes(addr, data)
+        self.syscall_output = data
         return len(data), len(data) * self.costs.syscall_per_byte_cycles
 
     def _sys_write(self, proc, args):
@@ -513,6 +518,7 @@ class Kernel:
             return -abi.EINVAL, 0.0
         data = random_bytes(self.rng.stream("getrandom"), length)
         proc.mem.write_bytes(addr, data)
+        self.syscall_output = data
         return length, length * self.costs.syscall_per_byte_cycles
 
     _SYSCALLS = {

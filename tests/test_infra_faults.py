@@ -460,6 +460,57 @@ class TestLogStrikeOnAVerifiedSegment:
         assert [r.value for r in records] == list(range(consumed))
 
 
+class TestLogStrikeOnASharedBuffer:
+    """Every ``/dev/zero`` read record holds the device's one zero buffer.
+    A strike on one record's output rebinds that record alone: the other
+    records, and the zeros later reads return, stay zero."""
+
+    SOURCE = """
+    func main() {
+        var i; var fd; var buf;
+        fd = open("/dev/zero");
+        buf = mmap_anon(65536);
+        for (i = 0; i < 6; i = i + 1) { read(fd, buf, 65536); }
+    }
+    """
+
+    def test_strike_rebinds_one_record_and_leaves_the_buffer_zero(self):
+        from repro.abi import SYS_READ
+        from repro.kernel.vfs import DevZero
+        config = ParallaftConfig(log_checksums=True)
+        runtime = Parallaft(compile_source(self.SOURCE), config=config,
+                            platform=apple_m2())
+        # Records 0 and 1 are the open and the mmap: rank 3 is the
+        # second read, and field rank 1 its output.
+        controller = InfraFaultController(runtime, InfraFaultSite(
+            INFRA_LOG_CORRUPT, segment_index=0, bit=8 * 300 + 5,
+            record_rank=3, field_rank=1))
+        reads, devices = [], []
+
+        def collect(proc, role):
+            if role != "main" or reads:
+                return
+            records = [r for r in runtime.current.log.records
+                       if r.kind == "syscall" and r.sysno == SYS_READ]
+            if len(records) == 3:
+                reads.extend(records)
+                devices.extend(f for f in proc.fds.values()
+                               if isinstance(f, DevZero))
+
+        runtime.quantum_hooks.append(collect)
+        stats = runtime.run()
+        zeros = bytes(65536)
+        assert controller.fired
+        assert len(reads) == 3 and len(devices) == 1
+        assert reads[1].output_data == zeros[:300] + b"\x20" + zeros[301:]
+        assert reads[0].output_data is reads[2].output_data \
+            is devices[0]._zeros
+        assert devices[0]._zeros == zeros
+        # The checksum stamped over the shared bytes catches the strike.
+        assert [e.kind for e in stats.errors] == ["log_integrity"]
+        assert stats.syscalls_recorded == 8
+
+
 class TestEndToEndCheckpointCorrupt:
     SITE = dict(kind=INFRA_CHECKPOINT_CORRUPT, segment_index=1, bit=321,
                 page_rank=0, when=0.7, app_bit=17)

@@ -320,6 +320,84 @@ class TestVerifiedLogs:
         assert kept_events == events
 
 
+ZERO_READS = """
+global ent[4];
+func main() {
+    var i; var fd; var buf;
+    fd = open("/dev/zero");
+    buf = mmap_anon(1048576);
+    for (i = 0; i < NREADS; i = i + 1) {
+        read(fd, buf, 1048576);
+        getrandom(ent, 32);
+    }
+}
+"""
+
+
+def zero_reads(n):
+    return ZERO_READS.replace("NREADS", str(n))
+
+
+class TestRecordedOutputBuffers:
+    """A ``read``/``getrandom`` record holds the buffer the kernel wrote
+    into the main's pages, not a copy read back out of them."""
+
+    def test_records_share_the_kernels_buffer(self):
+        from repro.abi import SYS_GETRANDOM, SYS_READ
+        runtime = Parallaft(compile_source(zero_reads(8)),
+                            config=ParallaftConfig(), platform=apple_m2())
+        seen = {}
+        fresh_getrandom = []
+
+        def hook(proc, role):
+            # The one segment's log, before it verifies and drops it.
+            if role != "main" or runtime.current is None:
+                return
+            records = runtime.current.log.records
+            if records and records[-1].sysno == SYS_GETRANDOM \
+                    and id(records[-1]) not in seen:
+                record = records[-1]
+                now = proc.mem.read_bytes(record.output_addr,
+                                          len(record.output_data))
+                fresh_getrandom.append(record.output_data == now)
+            for record in records:
+                seen[id(record)] = record
+
+        runtime.quantum_hooks.append(hook)
+        stats = runtime.run()
+        assert not stats.errors and stats.exit_code == 0
+        records = list(seen.values())
+        reads = [r for r in records if r.sysno == SYS_READ]
+        draws = [r for r in records if r.sysno == SYS_GETRANDOM]
+        assert len(reads) == len(draws) == 8
+        assert len({id(r.output_data) for r in reads}) == 1
+        assert reads[0].output_data == bytes(1 << 20)
+        assert fresh_getrandom == [True] * 8
+        assert len({r.output_data for r in draws}) == 8
+        assert stats.bytes_recorded == sum(
+            len(r.output_data) for r in records) + 2 * sum(
+            len(r.input_data) for r in records)
+
+    def test_log_memory_does_not_grow_with_zero_reads(self):
+        """Sixteen 1 MiB ``/dev/zero`` reads in one live segment: the log
+        holds sixteen references to one buffer (about 20 MB traced when
+        each record held a copy)."""
+        import tracemalloc
+        program = compile_source(zero_reads(16))
+        platform = apple_m2()
+        platform.cycle_scale = 1
+        tracemalloc.start()
+        try:
+            stats = Parallaft(program, config=ParallaftConfig(),
+                              platform=platform).run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not stats.errors and stats.nr_slices == 0
+        assert stats.syscalls_recorded == 34
+        assert peak < 8 << 20, peak
+
+
 @pytest.mark.parametrize("overrides", [
     {"enable_recovery": True}, {"mem_budget_bytes": 64 << 20}],
     ids=["recovery", "budget"])

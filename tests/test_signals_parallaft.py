@@ -13,7 +13,7 @@ from repro import abi
 from repro.core import Parallaft, ParallaftConfig
 from repro.kernel.process import ProcessState
 from repro.minic import compile_source
-from repro.sim import apple_m2
+from repro.sim import apple_m2, intel_14700
 
 HANDLER_PROGRAM = """
 global hits;
@@ -37,7 +37,7 @@ func main() {
 """
 
 
-def make_runtime(source, period=300_000_000):
+def make_runtime(source, period=300_000_000, platform=None):
     program = compile_source(source)
     handler = None
     for label, addr in program.labels.items():
@@ -49,7 +49,7 @@ def make_runtime(source, period=300_000_000):
                 instr.imm = handler
     config = ParallaftConfig()
     config.slicing_period = period
-    return Parallaft(program, config=config, platform=apple_m2())
+    return Parallaft(program, config=config, platform=platform or apple_m2())
 
 
 class TestExternalSignals:
@@ -155,6 +155,56 @@ class TestSelfRaisedSignals:
         stats = runtime.run()
         assert not stats.error_detected, stats.errors
         assert stats.stdout == "60\n"
+
+
+#: getpid, 1 MB ``/dev/zero`` read and self-SIGUSR1 loops (the §5.7
+#: stress programs, shortened).
+STRESS_PROGRAM = """
+global hits;
+func on_usr1(sig) { hits = hits + 1; return 0; }
+func main() {
+    var i; var fd; var buf; var me;
+    sigaction(10, 99);
+    me = getpid();
+    for (i = 0; i < 600; i = i + 1) { getpid(); }
+    fd = open("/dev/zero");
+    buf = mmap_anon(1048576);
+    for (i = 0; i < 6; i = i + 1) { read(fd, buf, 1048576); }
+    for (i = 0; i < 300; i = i + 1) { kill(me, 10); }
+    print_int(hits);
+}
+"""
+
+
+class TestSignalsPendingAtACut:
+    """A main cut between its ``kill`` and the signal's delivery would
+    start a segment whose checker has nothing pending; the cut waits for
+    the delivery instead."""
+
+    @pytest.mark.parametrize("platform", [apple_m2, intel_14700])
+    @pytest.mark.parametrize("period", [1_000, 2_000, 3_000, 5_000, 7_000,
+                                        10_000, 15_000, 20_000])
+    def test_self_signal_loop_is_clean_at_every_period(self, platform,
+                                                       period):
+        machine = platform()
+        machine.cycle_scale = 1  # as the §5.7 stress figure runs it
+        runtime = make_runtime(STRESS_PROGRAM, period=period,
+                               platform=machine)
+        pending_at_start = []
+        start_segment = runtime._start_segment
+
+        def recording_start():
+            pending_at_start.append(list(runtime.main.pending_signals))
+            start_segment()
+
+        runtime._start_segment = recording_start
+        stats = runtime.run()
+        assert not stats.errors, stats.errors
+        assert stats.stdout == "300\n"
+        assert runtime.kernel.stats["signals_delivered"] == 600
+        assert stats.nr_slices >= (2 if period <= 10_000 else 1)
+        assert len(pending_at_start) == stats.nr_slices + 1
+        assert not any(pending_at_start)
 
 
 class TestInternalFaultSignals:
