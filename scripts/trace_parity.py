@@ -1,26 +1,32 @@
-"""Whole-trace fingerprints of the runtime's teardown and stall paths.
+"""Whole-trace fingerprints of the runtime's teardown, stall and verdict
+paths.
 
 Usage: PYTHONPATH=src python scripts/trace_parity.py [scenario ...]
 
 Runs a fixed set of small protected runs, each of which drives one
 segment-teardown path (rollback, checker retry, TMR outvote and
 mid-replay replica discard, TMR forward recovery, pressure shed/evict,
-OOM shed) or one stall cause (the live-segment cap, error containment,
+OOM shed), one stall cause (the live-segment cap, error containment,
 RAFT record starvation; the pressure scenarios also stall the main on
-pressure and block checkers on memory) or the syscall and signal path
-(record, replay, handled signals), and prints one
-``<scenario> <sha256>`` line per run.  The hash covers the canonical
-JSON of ``stats.to_dict()``, stdout, stderr, the phase profile
-(per-phase and per-segment cycle ledgers, stall seconds) and every
-trace event's ``(ts, kind, pid, role, core, segment, payload)`` in
-order, so two source trees that print the same lines behave identically
-on these paths down to the last event.  Each scenario asserts that it
+pressure and block checkers on memory), the syscall and signal path
+(record, replay, handled signals) or one fail-stop rung of the error
+ladder (a FAILED segment the run continues past, an inconclusive TMR
+vote, a corrupt log record, a rotten checkpoint, a lying comparator,
+an evicted checkpoint), and prints one ``<scenario> <sha256>`` line per
+run.  The hash covers the canonical JSON of ``stats.to_dict()``,
+stdout, stderr, the phase profile (per-phase and per-segment cycle
+ledgers, stall seconds) and every trace event's ``(ts, kind, pid,
+role, core, segment, payload)`` in order, so two source trees that
+print the same lines behave identically on these paths down to the
+last event.  Each scenario asserts that it
 still exercises its path, so the coverage cannot silently vanish.
 
 The script only uses APIs that have been stable across refactors
 (``Parallaft``, ``ParallaftConfig``, ``get_mode``, ``FaultSite``,
-``quantum_hooks``, ``Program.address_of``), so it can fingerprint an older checkout too: point
-``PYTHONPATH`` at that tree's ``src`` and diff the output.
+``InfraFaultController``, ``quantum_hooks``, ``compare_hooks``,
+``evict_checkpoint``, ``Program.address_of``), so it can fingerprint
+an older checkout too: point ``PYTHONPATH`` at that tree's ``src`` and
+diff the output.
 """
 
 from __future__ import annotations
@@ -32,7 +38,12 @@ import sys
 
 from repro import abi
 from repro.core import Parallaft, ParallaftConfig
-from repro.faults import FaultSite
+from repro.faults import (
+    FaultSite,
+    InfraFaultController,
+    InfraFaultSite,
+    harden,
+)
 from repro.minic import compile_source
 from repro.modes import get_mode
 from repro.sim import apple_m2
@@ -135,12 +146,17 @@ func main() {
 """
 
 
-def run(source, config, hook=None, program=None, platform=None):
+def run(source, config, hook=None, program=None, platform=None,
+        setup=None):
+    """One protected run; ``hook(runtime)`` makes a quantum hook and
+    ``setup(runtime)`` attaches anything else before the run starts."""
     config.trace_capacity = TRACE_CAPACITY
     runtime = Parallaft(program or compile_source(source), config=config,
                         platform=platform or apple_m2())
     if hook is not None:
         runtime.quantum_hooks.append(hook(runtime))
+    if setup is not None:
+        setup(runtime)
     stats = runtime.run()
     require(runtime.trace.dropped == 0, "the trace ring overflowed")
     return runtime, stats
@@ -383,6 +399,78 @@ def syscalls():
     return runtime, stats
 
 
+def errors_of(stats, kind):
+    return [e for e in stats.errors if e.kind == kind]
+
+
+def failed():
+    config = ParallaftConfig(stop_on_error=False)
+    config.slicing_period = 400_000_000
+    runtime, stats = run(RECOVERY_SOURCE, config,
+                         flip_once("main", 0.002, "gpr", 8, 17))
+    require(len(stats.errors) == 1 and errors_of(stats, "state_mismatch")
+            and len(kinds(runtime, tev.SEGMENT_FAILED)) == 1
+            and not kinds(runtime, tev.APP_TERMINATE),
+            "one FAILED segment, and the run goes on")
+    return runtime, stats
+
+
+def vote_inconclusive():
+    site = FaultSite.register("gpr", 8, 17)
+    runtime, stats = run(MODES_SOURCE, tmr_config(max_forward_recoveries=0),
+                         main_fault(2, site))
+    require([e for e in errors_of(stats, "vote_inconclusive")
+             if e.segment_index == 2], "a vote with no majority to adopt")
+    return runtime, stats
+
+
+def infra(kind, recovery=True):
+    """A hardened run with one ``kind`` infrastructure fault in segment
+    1; the paired application fault strikes 2,000 instructions in."""
+    config = harden(ParallaftConfig(enable_recovery=recovery))
+    config.slicing_period = 400_000_000
+    return run(RECOVERY_SOURCE, config, setup=lambda rt: (
+        InfraFaultController(rt, InfraFaultSite(kind, 1, when=0.5),
+                             app_threshold=2000)))
+
+
+def log_integrity():
+    runtime, stats = infra("log-corrupt")
+    require(len(kinds(runtime, tev.CHECKER_RETRY)) == 1
+            and len(kinds(runtime, tev.INTEGRITY_FAIL, check="log")) == 2
+            and errors_of(stats, "log_integrity")
+            and not kinds(runtime, tev.ROLLBACK),
+            "a corrupt record retried, then a fail-stop")
+    return runtime, stats
+
+
+def checkpoint_integrity():
+    runtime, stats = infra("checkpoint-corrupt")
+    require(kinds(runtime, tev.INTEGRITY_FAIL, check="checkpoint")
+            and errors_of(stats, "infra_integrity")
+            and not kinds(runtime, tev.ROLLBACK),
+            "a rotten checkpoint refused")
+    return runtime, stats
+
+
+def digest_integrity():
+    runtime, stats = infra("digest-corrupt", recovery=False)
+    require(kinds(runtime, tev.INTEGRITY_FAIL, check="digest")
+            and errors_of(stats, "infra_integrity"), "a lying comparator")
+    return runtime, stats
+
+
+def evicted():
+    config = ParallaftConfig(enable_recovery=True)
+    config.slicing_period = 500_000_000
+    runtime, stats = run(
+        RETRY_SOURCE, config, flip_once("checker", 0.001, "gpr", 8, 13),
+        setup=lambda rt: rt.compare_hooks.append(rt.evict_checkpoint))
+    require(errors_of(stats, "checkpoint_evicted"),
+            "recovery refused for want of its checkpoint")
+    return runtime, stats
+
+
 SCENARIOS = {
     "rollback": rollback,
     "retry": retry,
@@ -397,6 +485,12 @@ SCENARIOS = {
     "stall-containment": stall_containment,
     "raft-starvation": raft_starvation,
     "syscalls": syscalls,
+    "failed": failed,
+    "vote-inconclusive": vote_inconclusive,
+    "log-integrity": log_integrity,
+    "checkpoint-integrity": checkpoint_integrity,
+    "digest-integrity": digest_integrity,
+    "evicted": evicted,
 }
 
 

@@ -34,8 +34,8 @@ from repro.common.errors import (
 from repro.core import syscall_model
 from repro.core.checker_sched import CheckerScheduler
 from repro.core.comparator import (
+    ComparisonResult,
     StateComparator,
-    audit_clean_pages,
     state_digest,
 )
 from repro.core.config import (
@@ -109,6 +109,29 @@ STALL_CAUSES: Dict[str, StallCause] = {
     tev.STALL_RECORD_STARVATION: StallCause(mph.CHECKER_STALL),
     tev.STALL_MEMORY: StallCause(mph.CHECKER_STALL),
 }
+
+
+#: The error ladder's policy (:meth:`Parallaft.fail`): which kinds each
+#: rung may take.  A detection mode may absorb one replica failing
+#: mid-replay with one of these (TMR outvotes it while a majority remains).
+ABSORBABLE_ERRORS = frozenset({"syscall_divergence", "exec_point_overrun",
+                               "exception", "timeout"})
+#: A fresh checker re-checks the segment from its retained checkpoint,
+#: whose digest is verified first; with that checkpoint evicted, the
+#: error becomes ``checkpoint_evicted``.
+RETRIED_ERRORS = ABSORBABLE_ERRORS | {"state_mismatch", "vote_inconclusive",
+                                      "log_integrity"}
+#: Recovery may roll the main back.  A record that failed its checksum
+#: impugns only the log *copy* (a checker-side transient): it is
+#: re-checked, never rolled back.
+ROLLBACK_ERRORS = RETRIED_ERRORS - {"log_integrity"}
+#: The run fail-stops even with ``stop_on_error`` off: saved state or the
+#: comparator proved untrusted, or the saved state is gone, so the run
+#: cannot vouch for anything it would produce next.
+FAIL_STOP_ERRORS = frozenset({"infra_integrity", "checkpoint_evicted"})
+#: Every ``DetectedError.kind``.  A recovery-watchdog trip means recovery
+#: itself failed: no rung but the fail-stop takes it.
+ERROR_KINDS = RETRIED_ERRORS | FAIL_STOP_ERRORS | {"recovery_watchdog"}
 
 
 class Parallaft(Tracer):
@@ -261,7 +284,7 @@ class Parallaft(Tracer):
             self._patch_nondet_instructions(self.main)
         core = self.executor.big_cores[0]
         self.executor.assign(self.main, core)
-        self._start_segment()
+        self.start_segment()
 
     def _patch_nondet_instructions(self, proc: Process) -> None:
         for address, instr in list(proc.mem.scan_code()):
@@ -314,18 +337,22 @@ class Parallaft(Tracer):
 
     # --------------------------------------------------------- segment machinery
 
-    def _instr_reading(self, proc: Process) -> int:
+    def instr_reading(self, proc: Process) -> int:
+        """``proc``'s retired-instruction counter, as the slicer and the
+        execution points read it."""
         return proc.cpu.read_counter("instructions")
 
     def _live_segments(self) -> int:
         return sum(1 for s in self.segments if s.live)
 
-    def _start_segment(self) -> None:
+    def start_segment(self) -> None:
+        """Open the next segment at the main's current point: fork its
+        checker replicas and checkpoints and let the mode submit it."""
         main = self.main
         segment = Segment(
             index=len(self.segments),
             start_branches=main.cpu.branches_retired,
-            start_instructions=self._instr_reading(main),
+            start_instructions=self.instr_reading(main),
             start_cycles=main.user_cycles,
             start_time=self.executor.current_time,
         )
@@ -389,7 +416,7 @@ class Parallaft(Tracer):
         point = ExecPoint(
             main.cpu.pc,
             main.cpu.branches_retired - segment.start_branches,
-            self._instr_reading(main) - segment.start_instructions,
+            self.instr_reading(main) - segment.start_instructions,
         )
         segment.end_point = point
         segment.main_instructions = point.instructions
@@ -465,7 +492,7 @@ class Parallaft(Tracer):
         """A slicing boundary: finalize the recording segment, start the
         next one (figure 1(b) steps 1-2)."""
         self._finalize_segment()
-        self._start_segment()
+        self.start_segment()
         self.stats.nr_slices += 1
 
     # ------------------------------------------------------------ record helpers
@@ -506,34 +533,21 @@ class Parallaft(Tracer):
             if (record is None or record.kind != "signal" or record.external
                     or record.signo not in checker.signal_handlers):
                 return
-            problem = self._log_record_problem(replica)
-            if problem is not None:
-                self._report_log_integrity(segment, problem)
+            if self._record_corrupt(segment, replica):
                 return
             replica.cursor.next()
             self.kernel.deliver_signal_now(checker, record.signo)
 
     # --------------------------------------------------------- integrity checks
 
-    def _integrity_fail(self, check: str, segment: Optional[Segment],
-                        detail: str) -> None:
-        """An integrity check failed: latch the no-rollback flag and emit
-        the INTEGRITY_FAIL trace event (the invariant checker asserts no
-        ROLLBACK ever follows one of these)."""
-        self._integrity_failed = True
-        self.stats.integrity_failures += 1
-        self.emit(tev.INTEGRITY_FAIL,
-                  segment=segment.index if segment is not None else None,
-                  check=check, detail=detail)
-
-    def _checkpoint_integrity_ok(self, segment: Segment) -> bool:
+    def checkpoint_intact(self, segment: Segment) -> bool:
         """Re-verify the retained recovery checkpoint's fork-time digest.
 
         Called before any error path trusts the checkpoint (retry forks
         from it; rollback promotes it to be the new main).  A mismatch
         means bits rotted while the checkpoint sat paused — promotion
-        would "recover" into a corrupt timeline, so the caller must
-        fail-stop instead.
+        would "recover" into a corrupt timeline — so it latches the
+        no-rollback flag like a ``fail(check=...)``.
         """
         if not self.config.checkpoint_digests:
             return True
@@ -550,112 +564,127 @@ class Parallaft(Tracer):
         self.emit(tev.INTEGRITY_CHECK, segment=segment.index,
                   check="checkpoint", ok=ok)
         if not ok:
-            self._integrity_fail(
-                "checkpoint", segment,
-                f"recovery checkpoint of segment {segment.index} failed "
-                f"its fork-time integrity digest")
+            self._integrity_failed = True
+            self.stats.integrity_failures += 1
+            self.emit(tev.INTEGRITY_FAIL, segment=segment.index,
+                      check="checkpoint",
+                      detail=f"recovery checkpoint of segment "
+                             f"{segment.index} failed its fork-time "
+                             f"integrity digest")
         return ok
 
-    def _log_record_problem(self, replica) -> Optional[str]:
-        """Verify the record the replica's cursor is about to consume;
-        returns a violation description, or None when intact /
-        verification is off."""
+    def _record_corrupt(self, segment: Segment, replica) -> bool:
+        """Verify the record the replica's cursor is about to consume.  A
+        record that fails its checksum fails the segment with
+        ``log_integrity`` (the log *copy* is suspect) and returns True."""
         if not self.config.log_checksums:
-            return None
+            return False
         record = replica.cursor.peek()
         if record is None:
-            return None
+            return False
         self.stats.integrity_checks += 1
-        return verify_record(record, replica.cursor.position)
+        problem = verify_record(record, replica.cursor.position)
+        if problem is None:
+            return False
+        self.fail("log_integrity", segment, problem, check="log")
+        return True
 
-    def _report_log_integrity(self, segment: Segment, problem: str) -> None:
-        """A record failed verification at replay: the log *copy* is
-        suspect (checker-side transient), reported as ``log_integrity`` —
-        retried from the retained checkpoint, never rolled back."""
-        self._integrity_fail("log", segment, problem)
-        self._report_error("log_integrity", segment, problem)
+    # ------------------------------------------------------------- verdicts
+    # The runtime alone decides a segment's fate.  Detection modes and
+    # recovery compare through ``compare_replicas`` and report through
+    # ``verify`` and ``fail``; which kinds each rung of the ladder may
+    # take is the ``*_ERRORS`` sets.
 
-    # ------------------------------------------------------------- error handling
+    def verify(self, segment: Segment, proc: Optional[Process] = None,
+               retire: bool = True, **payload) -> None:
+        """The segment checked out: mark it CHECKED and, with ``retire``,
+        retire its resources.  ``proc`` (default: the segment's checker)
+        and ``payload`` go on the ``segment_checked`` event."""
+        segment.check_finished_time = self.executor.current_time
+        segment.status = SegmentStatus.CHECKED
+        self.stats.segments_checked += 1
+        self.emit(tev.SEGMENT_CHECKED,
+                  proc=segment.checker if proc is None else proc,
+                  segment=segment.index, **payload)
+        if self.recovery is not None:
+            self.recovery.on_segment_verified(segment)
+        if retire:
+            self._retire_segment(segment)
 
-    def _report_error(self, kind: str, segment: Optional[Segment],
-                      detail: str = "",
-                      proc: Optional[Process] = None) -> None:
-        if segment is not None and proc is not None:
-            # A single replica failed mid-replay: give the detection mode
-            # first refusal (TMR outvotes it while a majority remains).
+    def fail(self, kind: str, segment: Segment, detail: str = "",
+             proc: Optional[Process] = None,
+             check: Optional[str] = None) -> None:
+        """A check of ``segment`` failed with ``kind`` (one of
+        ``ERROR_KINDS``): climb the error ladder.
+
+        ``proc`` names the one replica that failed mid-replay.  With
+        ``check``, an integrity check failed: the no-rollback flag latches
+        and ``integrity_fail`` is emitted first (the invariant checker
+        asserts no ROLLBACK ever follows one).  The rungs, in order: the
+        mode absorbs the replica's failure; the retained checkpoint's
+        digest is re-checked (a rotten one turns the error into
+        ``infra_integrity``); a fresh checker re-checks the segment;
+        recovery rolls the main back; an evicted checkpoint turns the
+        error into ``checkpoint_evicted``.  An error no rung absorbs is
+        reported, the segment fails, and the run fail-stops when
+        ``stop_on_error`` is on or the kind demands it.
+        """
+        if check is not None:
+            self._integrity_failed = True
+            self.stats.integrity_failures += 1
+            self.emit(tev.INTEGRITY_FAIL, segment=segment.index,
+                      check=check, detail=detail)
+        if proc is not None and kind in ABSORBABLE_ERRORS:
             replica = segment.replica_of(proc.pid)
             if replica is not None and self.mode.absorb_replica_error(
                     self, segment, replica, kind, detail):
                 return
-        # A recovery-watchdog trip means recovery itself failed; an
-        # infra_integrity error means saved state (or the comparator) is
-        # untrusted.  Neither re-checking nor a rollback may absorb them.
-        recoverable = kind not in ("recovery_watchdog", "infra_integrity")
-        if (recoverable and segment is not None
+        if (kind in RETRIED_ERRORS
                 and self.config.retains_recovery_checkpoint
                 and segment.recovery_checkpoint is not None
-                and not self._checkpoint_integrity_ok(segment)):
-            # Every recovery path below would trust this checkpoint (retry
-            # forks from it, rollback promotes it); it just failed its
-            # digest, so escalate to an integrity fail-stop instead.
+                and not self.checkpoint_intact(segment)):
+            # Every recovery rung below would trust this checkpoint.
             detail = (f"recovery checkpoint of segment {segment.index} "
                       f"failed integrity verification while handling "
                       f"{kind}: {detail}")
             kind = "infra_integrity"
-            recoverable = False
-        if (recoverable and segment is not None
-                and (self.config.retry_failed_checkers
-                     or self.config.enable_recovery)
+        # Checkpoints retained only for the pressure controller do not
+        # enable retries: the explicit knobs gate them.
+        retrying = (self.config.retry_failed_checkers
+                    or self.config.enable_recovery)
+        if (kind in RETRIED_ERRORS and retrying
                 and segment.retries < MAX_CHECKER_RETRIES
                 and segment.recovery_checkpoint is not None
                 and segment.end_point is not None):
-            # First line of defense — and, with recovery on, the diagnosis
-            # step: re-check with a second checker forked from the retained
-            # segment-start state.  A transient checker fault vanishes; a
-            # main-side fault persists into the next _report_error call.
-            # (Checkpoints retained only for the pressure controller do
-            # not enable retries — the explicit knobs gate them.)
+            # The diagnosis step: a transient checker fault vanishes on
+            # the re-check; a main-side fault fails it again.
             self._retry_segment_check(segment, kind)
             return
-        if (recoverable and not self._integrity_failed
-                and self.recovery is not None and segment is not None
-                and self.recovery.on_check_failed(segment, kind, detail)):
-            # The main was implicated and rolled back to the last verified
-            # checkpoint: the error is absorbed, not reported.
+        if (kind in ROLLBACK_ERRORS and not self._integrity_failed
+                and not self._terminated and self.recovery is not None
+                and self.recovery.on_check_failed(segment)):
             return
-        if (recoverable and segment is not None and segment.checkpoint_evicted
-                and (self.config.retry_failed_checkers
-                     or self.config.enable_recovery)):
-            # Retry/rollback would have consumed the retained checkpoint,
-            # but the pressure controller evicted it (stage 3).  Refusing
-            # with a typed error reuses the fail-stop discipline: freed
-            # state must never be promoted into a "recovered" timeline.
+        if kind in RETRIED_ERRORS and retrying and segment.checkpoint_evicted:
+            # The pressure controller evicted the checkpoint a retry or
+            # rollback would have used (stage 3).
             detail = (f"recovery checkpoint of segment {segment.index} was "
                       f"evicted under memory pressure; refusing to absorb "
                       f"{kind}: {detail}")
             kind = "checkpoint_evicted"
-        index = segment.index if segment is not None else -1
         self.stats.errors.append(DetectedError(
-            kind, index, detail, self.executor.current_time))
-        self.emit(tev.ERROR, segment=index if index >= 0 else None,
-                  error=kind, detail=detail)
-        if segment is not None:
-            segment.status = SegmentStatus.FAILED
-            self.emit(tev.SEGMENT_FAILED, segment=segment.index, error=kind)
-            for replica in segment.live_replicas():
-                self.kernel.exit_process(replica.process, 1)
-            self.sched.on_checker_done(segment)
+            kind, segment.index, detail, self.executor.current_time))
+        self.emit(tev.ERROR, segment=segment.index, error=kind,
+                  detail=detail)
+        segment.status = SegmentStatus.FAILED
+        self.emit(tev.SEGMENT_FAILED, segment=segment.index, error=kind)
+        for replica in segment.live_replicas():
+            self.kernel.exit_process(replica.process, 1)
+        self.sched.on_checker_done(segment)
         # The FAILED segment left the live set without ever retiring, so
-        # this is a wake point for a stalled main: both the cap stall and
-        # the containment stall must be re-evaluated here, else a main
-        # stalled behind the failed segment sleeps forever when
-        # stop_on_error is off.
+        # this is a wake point for a stalled main (cap or containment),
+        # else it sleeps forever when stop_on_error is off.
         self.wake_main()
-        if self.config.stop_on_error \
-                or kind in ("infra_integrity", "checkpoint_evicted"):
-            # Graceful degradation: once integrity is gone the run cannot
-            # vouch for anything it would produce next — fail-stop even
-            # when the user asked to continue past application errors.
+        if self.config.stop_on_error or kind in FAIL_STOP_ERRORS:
             self._terminate_application()
 
     def _retry_segment_check(self, segment: Segment, kind: str) -> None:
@@ -905,7 +934,7 @@ class Parallaft(Tracer):
             # start checkpoint duplicates the new mapping into the checker.
             self._pending_mmap_split = False
             if proc.alive:
-                self._start_segment()
+                self.start_segment()
             return
         record = self._pending_syscall
         self._pending_syscall = None
@@ -960,23 +989,20 @@ class Parallaft(Tracer):
                 # main; block until the record exists.
                 self.stall(proc, tev.STALL_RECORD_STARVATION)
                 return SyscallAction.emulate(0)
-            self._report_error("syscall_divergence", segment,
-                               f"checker issued extra syscall {sysno}",
-                               proc=proc)
+            self.fail("syscall_divergence", segment,
+                      f"checker issued extra syscall {sysno}", proc=proc)
             return SyscallAction.emulate(-abi.ENOSYS)
-        problem = self._log_record_problem(replica)
-        if problem is not None:
-            # Verify *before* the kind/args checks: a corrupted record
+        if self._record_corrupt(segment, replica):
+            # Verified *before* the kind/args checks: a corrupted record
             # must surface as a log fault, not as a bogus app divergence.
-            self._report_log_integrity(segment, problem)
             return SyscallAction.emulate(-abi.ENOSYS)
         if record.kind != "syscall":
-            self._report_error("syscall_divergence", segment,
-                               f"expected {record.kind} record, checker "
-                               f"issued syscall {sysno}", proc=proc)
+            self.fail("syscall_divergence", segment,
+                      f"expected {record.kind} record, checker "
+                      f"issued syscall {sysno}", proc=proc)
             return SyscallAction.emulate(-abi.ENOSYS)
         if record.sysno != sysno or record.args != args:
-            self._report_error(
+            self.fail(
                 "syscall_divergence", segment,
                 f"main {record.sysno}{record.args} vs checker {sysno}{args}",
                 proc=proc)
@@ -990,9 +1016,8 @@ class Parallaft(Tracer):
                 checker_data = None
             self._charge_record_bytes(proc, length)
             if checker_data != record.input_data:
-                self._report_error("syscall_divergence", segment,
-                                   f"syscall {sysno} data mismatch",
-                                   proc=proc)
+                self.fail("syscall_divergence", segment,
+                          f"syscall {sysno} data mismatch", proc=proc)
                 return SyscallAction.emulate(-abi.ENOSYS)
         replica.cursor.next()
         self.stats.syscalls_replayed += 1
@@ -1009,9 +1034,8 @@ class Parallaft(Tracer):
                 proc.mem.write_bytes(record.output_addr, record.output_data,
                                      force=True)
             except Exception:
-                self._report_error("syscall_divergence", segment,
-                                   "replay target memory unmapped",
-                                   proc=proc)
+                self.fail("syscall_divergence", segment,
+                          "replay target memory unmapped", proc=proc)
                 return SyscallAction.emulate(-abi.ENOSYS)
         return SyscallAction.emulate(record.result)
 
@@ -1039,9 +1063,8 @@ class Parallaft(Tracer):
             if self.config.exec_point_counter == ExecPointCounter.BRANCHES:
                 # 1.1x budget exceeded: control-flow corruption (paper
                 # §4.2.2 "Handling Timeout").
-                self._report_error("timeout", segment,
-                                   "checker exceeded instruction budget",
-                                   proc=proc)
+                self.fail("timeout", segment,
+                          "checker exceeded instruction budget", proc=proc)
                 return
             outcome = replayer.on_overflow()
         elif reason == StopReason.COUNTER_OVERFLOW:
@@ -1054,9 +1077,8 @@ class Parallaft(Tracer):
         else:
             return
         if outcome == ReplayOutcome.OVERRUN:
-            self._report_error("exec_point_overrun", segment,
-                               "checker ran past the recorded branch count",
-                               proc=proc)
+            self.fail("exec_point_overrun", segment,
+                      "checker ran past the recorded branch count", proc=proc)
             return
         if outcome == ReplayOutcome.REACHED:
             finished_index = replayer.index - 1
@@ -1097,16 +1119,12 @@ class Parallaft(Tracer):
             if record is None and segment.end_point is None:
                 self.stall(proc, tev.STALL_RECORD_STARVATION)
                 return
-            if record is not None:
-                problem = self._log_record_problem(replica)
-                if problem is not None:
-                    self._report_log_integrity(segment, problem)
-                    return
+            if self._record_corrupt(segment, replica):
+                return
             if (record is None or record.kind != "nondet"
                     or record.pc != pc):
-                self._report_error(
-                    "syscall_divergence", segment,
-                    f"nondet replay mismatch at pc={pc:#x}", proc=proc)
+                self.fail("syscall_divergence", segment,
+                          f"nondet replay mismatch at pc={pc:#x}", proc=proc)
                 return
             replica.cursor.next()
             self._apply_nondet(proc, instr, record.value)
@@ -1141,7 +1159,7 @@ class Parallaft(Tracer):
                     point = ExecPoint(
                         proc.cpu.pc,
                         proc.cpu.branches_retired - segment.start_branches,
-                        self._instr_reading(proc)
+                        self.instr_reading(proc)
                         - segment.start_instructions)
                     segment.signal_stops.append(
                         ReplayStop(point, ReplayStopKind.SIGNAL, signo))
@@ -1160,12 +1178,9 @@ class Parallaft(Tracer):
                        if segment is not None else None)
             if segment is None or replica is None:
                 return True
+            if self._record_corrupt(segment, replica):
+                return False
             record = replica.cursor.peek()
-            if record is not None:
-                problem = self._log_record_problem(replica)
-                if problem is not None:
-                    self._report_log_integrity(segment, problem)
-                    return False
             if (record is not None and record.kind == "signal"
                     and record.signo == signo):
                 # The checker reproduced the main's own (internal) signal.
@@ -1178,21 +1193,14 @@ class Parallaft(Tracer):
                     # the segment; its siblings must not re-count it.
                     replica.reached_end = True
                     if segment.status != SegmentStatus.CHECKED:
-                        segment.check_finished_time = \
-                            self.executor.current_time
-                        segment.status = SegmentStatus.CHECKED
-                        self.stats.segments_checked += 1
-                        self.emit(tev.SEGMENT_CHECKED, proc=proc,
-                                  segment=segment.index,
-                                  reproduced_signal=signo)
-                        if self.recovery is not None:
-                            self.recovery.on_segment_verified(segment)
+                        # Retired once the replica's exit is reaped.
+                        self.verify(segment, proc=proc, retire=False,
+                                    reproduced_signal=signo)
                 return True
             # No matching record: the checker faulted where the main did
             # not -> a detected error (the "Exception" class of §5.6).
-            self._report_error("exception", segment,
-                               f"checker raised unmatched signal {signo}",
-                               proc=proc)
+            self.fail("exception", segment,
+                      f"checker raised unmatched signal {signo}", proc=proc)
             return False
         return True
 
@@ -1237,9 +1245,8 @@ class Parallaft(Tracer):
                 # An OOM-killed checker is not an application error: the
                 # kernel already recorded the exhaustion and the run will
                 # classify as OOM, so don't double-report it as a fault.
-                self._report_error("exception", segment,
-                                   "checker died before its end point",
-                                   proc=proc)
+                self.fail("exception", segment,
+                          "checker died before its end point", proc=proc)
             if self.pressure is not None and not self._terminated:
                 # If this was the last runnable process, blocked peers
                 # must be force-woken or their stalls never resolve.
@@ -1307,7 +1314,7 @@ class Parallaft(Tracer):
         the pressure controller's dirty-rate estimator."""
         if self.slicing_unit == "cycles":
             return proc.user_cycles
-        return self._instr_reading(proc) * self.platform.cycle_scale
+        return self.instr_reading(proc) * self.platform.cycle_scale
 
     def on_quantum(self, proc: Process, executed: int) -> None:
         role = self.roles.get(proc.pid)
@@ -1340,7 +1347,7 @@ class Parallaft(Tracer):
         if self.slicing_unit == "cycles":
             progress = proc.user_cycles - segment.start_cycles
         else:
-            progress = ((self._instr_reading(proc)
+            progress = ((self.instr_reading(proc)
                          - segment.start_instructions)
                         * self.platform.cycle_scale)
         period = (self.recovery.effective_slicing_period()
@@ -1408,101 +1415,59 @@ class Parallaft(Tracer):
                   match=result.match, bytes_hashed=result.bytes_hashed,
                   stage="early")
 
-    def _compare_replica(self, segment: Segment, replica,
-                         phase: str):
-        """Compare one replica against the end checkpoint; returns
-        ``(result, union)``.  Honors a MEEK early verdict: the boundary
-        stage hashes only the pages the early check did not cover, and
-        an early mismatch carries through to the combined verdict."""
-        checker = replica.process
-        checkpoint = segment.end_checkpoint
-        union = set(segment.main_dirty_vpns)
-        union.update(self.dirty_tracker.dirty_vpns(checker))
-        if replica.early_result is None:
-            # The MEEK path already scanned on arrival (the replica has
-            # been parked since, so its dirty set is unchanged).
-            self.executor.charge(
-                checker,
-                self.kernel.costs.dirty_scan_cycles(
-                    checker.mem.mapped_pages),
-                phase=mph.DIRTY_SCAN)
-        late_vpns = union - set(replica.early_vpns)
-        result = self.comparator.compare(checker, checkpoint, late_vpns)
-        self.executor.charge(
-            checker, self.kernel.costs.hash_cycles(result.bytes_hashed),
-            phase=phase)
-        early = replica.early_result
-        if early is not None and not early.match and result.match:
-            # The divergence lives in the early slice: the combined
-            # verdict is the AND of the two stages.
-            result = early
-        self.emit(tev.COMPARISON, proc=checker, segment=segment.index,
-                  match=result.match, bytes_hashed=result.bytes_hashed)
-        return result, union
+    def compare_replicas(self, segment: Segment, phase: str
+                         ) -> Optional[Tuple[List[ComparisonResult], set]]:
+        """Run the ``compare_hooks``, then compare every replica of
+        ``segment`` against its end checkpoint, charging the hashing to
+        ``phase``; returns the per-replica results and the union of the
+        dirty sets compared.
 
-    def _pairwise_boundary_check(self, segment: Segment) -> None:
-        """The paper's boundary policy (and the mode-hook default): one
-        checker, compared pairwise against the end checkpoint."""
-        checkpoint = segment.end_checkpoint
-        if self.config.compare_state:
-            for hook in self.compare_hooks:
-                hook(segment)
-            replica = segment.replicas[0]
+        Honors a MEEK early verdict: the boundary stage hashes only the
+        pages the early check did not cover, and an early mismatch
+        carries through to the combined verdict.  When the comparator's
+        two hash paths disagree, the comparator itself is faulty and no
+        verdict it produced can be trusted, including the ones that
+        admitted earlier segments: the segment fails with
+        ``infra_integrity`` and None is returned.
+        """
+        for hook in self.compare_hooks:
+            hook(segment)
+        results, union = [], set()
+        for replica in segment.replicas:
             checker = replica.process
-            result, union = self._compare_replica(segment, replica,
-                                                  mph.COMPARISON)
-            if not result.match:
-                if result.reason == "integrity":
-                    # The two hash paths disagreed: the comparator itself
-                    # is faulty, so no verdict it produced can be trusted
-                    # — including the ones that admitted earlier segments.
-                    self._integrity_fail("digest", segment,
-                                         result.describe())
-                    self._report_error("infra_integrity", segment,
-                                       result.describe())
-                else:
-                    self._report_error("state_mismatch", segment,
-                                       result.describe())
-                return
-            if self.config.clean_page_audit > 0:
-                audited, bad, audit_bytes = audit_clean_pages(
-                    checker, checkpoint, union,
-                    self.config.clean_page_audit)
-                self.stats.integrity_checks += 1
+            dirty = set(segment.main_dirty_vpns)
+            dirty.update(self.dirty_tracker.dirty_vpns(checker))
+            union |= dirty
+            if replica.early_result is None:
+                # The MEEK path already scanned on arrival (the replica
+                # has been parked since, so its dirty set is unchanged).
                 self.executor.charge(
-                    checker, self.kernel.costs.hash_cycles(audit_bytes),
-                    phase=mph.HASHING)
-                self.emit(tev.INTEGRITY_CHECK, proc=checker,
-                          segment=segment.index, check="clean_page_audit",
-                          audited=len(audited), ok=not bad)
-                if bad:
-                    shown = ", ".join(hex(v) for v in bad[:4])
-                    detail = (f"clean-page audit: {len(bad)} page(s) "
-                              f"modified but missing from the dirty union "
-                              f"(vpn {shown}) — dirty tracking "
-                              f"under-reported")
-                    # The tracker lied, so this comparison (and any other
-                    # that trusted its union) proves nothing: integrity
-                    # fail-stop, not an application mismatch.
-                    self._integrity_fail("clean_page_audit", segment,
-                                         detail)
-                    self._report_error("infra_integrity", segment, detail)
-                    return
-        self._segment_verified(segment)
+                    checker,
+                    self.kernel.costs.dirty_scan_cycles(
+                        checker.mem.mapped_pages),
+                    phase=mph.DIRTY_SCAN)
+            result = self.comparator.compare(
+                checker, segment.end_checkpoint,
+                dirty - set(replica.early_vpns))
+            self.executor.charge(
+                checker, self.kernel.costs.hash_cycles(result.bytes_hashed),
+                phase=phase)
+            early = replica.early_result
+            if early is not None and not early.match and result.match:
+                # The divergence lives in the early slice: the combined
+                # verdict is the AND of the two stages.
+                result = early
+            self.emit(tev.COMPARISON, proc=checker, segment=segment.index,
+                      match=result.match, bytes_hashed=result.bytes_hashed)
+            results.append(result)
+        for result in results:
+            if result.reason == "integrity":
+                self.fail("infra_integrity", segment, result.describe(),
+                          check="digest")
+                return None
+        return results, union
 
-    def _segment_verified(self, segment: Segment) -> None:
-        """The boundary policy accepted the segment: mark it CHECKED and
-        retire its resources."""
-        segment.check_finished_time = self.executor.current_time
-        segment.status = SegmentStatus.CHECKED
-        self.stats.segments_checked += 1
-        self.emit(tev.SEGMENT_CHECKED, proc=segment.checker,
-                  segment=segment.index)
-        if self.recovery is not None:
-            self.recovery.on_segment_verified(segment)
-        self._retire_segment(segment)
-
-    def _adopt_main(self, new_main: Process,
+    def adopt_main(self, new_main: Process,
                     swap: Callable[[Process, Process], Process]) -> None:
         """Make ``new_main`` the main in place of the current one.
 

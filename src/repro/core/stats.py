@@ -24,8 +24,7 @@ from repro.metrics import MetricRegistry
 class DetectedError:
     """One detected divergence."""
 
-    kind: str                 # 'state_mismatch' | 'syscall_divergence' |
-    #                           'exception' | 'timeout' | 'exec_point_overrun'
+    kind: str                 # one of repro.core.runtime.ERROR_KINDS
     segment_index: int
     detail: str = ""
     time: float = 0.0

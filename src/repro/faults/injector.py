@@ -224,7 +224,7 @@ def main_trigger(runtime: Parallaft, threshold: float,
             if segment is None or segment.index != segment_index:
                 return False
             start = segment.start_instructions
-        return me._instr_reading(proc) - start >= threshold
+        return me.instr_reading(proc) - start >= threshold
     return Trigger(runtime, due, strike)
 
 

@@ -4,10 +4,13 @@ A detection mode is the *policy* half of the runtime: how many checker
 replicas a segment forks, when they are submitted to the checker
 scheduler, whether the run is sliced into segments at all, what happens
 at a segment boundary (pairwise compare, majority vote, or nothing) and
-how a divergence is resolved (fail-stop, retry/rollback, or forward
-recovery).  The mechanism half — forking, replay, dirty tracking,
-scheduling, swapping in a new main — stays in :mod:`repro.core.runtime`
-and is shared by every mode.
+how a replica's failure is absorbed (outvoting it, or not at all).  The
+mechanism half — forking, replay, dirty tracking, scheduling, comparing
+replicas, swapping in a new main — stays in :mod:`repro.core.runtime`
+and is shared by every mode.  So does the verdict: a mode ends a
+boundary check in ``Parallaft.verify`` or ``Parallaft.fail``, whose
+error ladder decides what retry, rollback and fail-stop make of a
+failure.
 
 A mode also owns its configuration: ``preset`` lists the
 :class:`~repro.core.config.ParallaftConfig` fields it sets over the
@@ -27,6 +30,9 @@ import dataclasses
 from typing import TYPE_CHECKING, Dict, List, Type
 
 from repro.common.errors import ConfigError, RuntimeConfigError
+from repro.core.comparator import audit_clean_pages
+from repro.metrics import phases as mph
+from repro.trace import events as tev
 
 if TYPE_CHECKING:
     from repro.core.config import ParallaftConfig
@@ -107,19 +113,52 @@ class DetectionMode:
 
     def boundary_check(self, rt: "Parallaft", segment: "Segment") -> None:
         """All replicas reached the segment end point: decide the
-        segment's fate (CHECKED, error, vote, ...).  The default policy
-        is the paper's pairwise checker-vs-checkpoint compare (which
-        degenerates to "always pass" when ``compare_state`` is off, the
-        RAFT configuration)."""
-        rt._pairwise_boundary_check(segment)
+        segment's fate through ``rt.verify`` or ``rt.fail``.  The default
+        policy is the paper's pairwise checker-vs-checkpoint compare
+        (which degenerates to "always pass" when ``compare_state`` is
+        off, the RAFT configuration), then the clean-page audit."""
+        config = rt.config
+        if config.compare_state:
+            compared = rt.compare_replicas(segment, mph.COMPARISON)
+            if compared is None:
+                return
+            results, union = compared
+            if not results[0].match:
+                rt.fail("state_mismatch", segment, results[0].describe())
+                return
+            if config.clean_page_audit > 0:
+                checker = segment.checker
+                audited, bad, audit_bytes = audit_clean_pages(
+                    checker, segment.end_checkpoint, union,
+                    config.clean_page_audit)
+                rt.stats.integrity_checks += 1
+                rt.executor.charge(
+                    checker, rt.kernel.costs.hash_cycles(audit_bytes),
+                    phase=mph.HASHING)
+                rt.emit(tev.INTEGRITY_CHECK, proc=checker,
+                        segment=segment.index, check="clean_page_audit",
+                        audited=len(audited), ok=not bad)
+                if bad:
+                    shown = ", ".join(hex(v) for v in bad[:4])
+                    # The tracker lied, so this comparison (and any other
+                    # that trusted its union) proves nothing: integrity
+                    # fail-stop, not an application mismatch.
+                    rt.fail("infra_integrity", segment,
+                            f"clean-page audit: {len(bad)} page(s) "
+                            f"modified but missing from the dirty union "
+                            f"(vpn {shown}) — dirty tracking "
+                            f"under-reported", check="clean_page_audit")
+                    return
+        rt.verify(segment)
 
     def absorb_replica_error(self, rt: "Parallaft", segment: "Segment",
                              replica: "Replica", kind: str,
                              detail: str) -> bool:
-        """A single replica failed mid-replay (divergence, exception,
-        timeout).  Return True if the mode absorbed the failure (e.g. by
-        outvoting the replica) so the runtime must not report an error.
-        The default policy absorbs nothing."""
+        """A single replica failed mid-replay with a ``kind`` the error
+        ladder lets a mode absorb (``ABSORBABLE_ERRORS``).  Return True if
+        the mode absorbed the failure (e.g. by outvoting the replica) so
+        the runtime must not report an error.  The default policy absorbs
+        nothing."""
         return False
 
 

@@ -17,21 +17,27 @@ boundary runs a majority vote:
   a guess: fail-stop with a typed ``vote_inconclusive`` error (the
   vote-quorum invariant: a quorum-1 vote must be followed by an error).
 
-A replica that fails *mid-replay* (divergence, exception, timeout) is
-outvoted immediately rather than failing the segment: the remaining
-voters still form a majority.  Integrity faults are never absorbed —
-they implicate the comparator or saved state, not one replica.
+A replica that fails *mid-replay* with a kind the runtime's error
+ladder lets a mode absorb (``ABSORBABLE_ERRORS``: divergence,
+exception, timeout, overrun) is outvoted immediately rather than
+failing the segment: the remaining voters still form a majority.
+Integrity faults are never absorbed — they implicate the comparator or
+saved state, not one replica, and outvoting a replica on rotten
+evidence would launder the corruption.
 
-Forward recovery is TMR policy and lives here.  The mechanisms are the
-runtime's: ``Parallaft._adopt_main`` swaps the winner in as the main (as
-rollback recovery does), and the replica lifecycle methods
-(``remove_replica``, ``drop_replica``, ``drop_replicas``,
-``discard_segment``, ``truncate_consoles``) detach, kill and discard.
+The vote and forward recovery are TMR policy and live here.  The
+mechanisms are the runtime's: ``compare_replicas`` compares every
+replica, ``verify`` and ``fail`` deliver the verdict, ``adopt_main``
+swaps the winner in as the main (as rollback recovery does), and the
+replica lifecycle methods (``remove_replica``, ``drop_replica``,
+``drop_replicas``, ``discard_segment``, ``truncate_consoles``) detach,
+kill and discard.
 """
 
 from __future__ import annotations
 
 from repro.common.errors import RuntimeConfigError
+from repro.metrics import phases as mph
 from repro.modes.base import DetectionMode, register_mode
 from repro.trace import events as tev
 
@@ -44,13 +50,6 @@ class TmrMode(DetectionMode):
     replica_count = 2
     concurrent_checking = False
     slices = True
-
-    #: Mid-replay failure kinds a single replica can be outvoted for.
-    #: Integrity kinds (``log_integrity``/``infra_integrity``) are
-    #: excluded: they implicate shared infrastructure, and outvoting a
-    #: replica on rotten evidence would launder the corruption.
-    ABSORBABLE = frozenset({"syscall_divergence", "exception", "timeout",
-                            "exec_point_overrun"})
 
     def validate_config(self, config) -> None:
         super().validate_config(config)
@@ -73,28 +72,11 @@ class TmrMode(DetectionMode):
 
     def boundary_check(self, rt, segment) -> None:
         """All replicas arrived: run the three-way vote."""
-        from repro.metrics import phases as mph
         config = rt.config
-        if not config.compare_state:
-            rt._segment_verified(segment)
+        compared = rt.compare_replicas(segment, mph.VOTE)
+        if compared is None:
             return
-        for hook in rt.compare_hooks:
-            hook(segment)
-        results = []
-        union = set()
-        for replica in segment.replicas:
-            result, replica_union = rt._compare_replica(segment, replica,
-                                                        mph.VOTE)
-            results.append(result)
-            union |= replica_union
-        for result in results:
-            if result.reason == "integrity":
-                # The comparator's two hash paths disagreed: no verdict
-                # it produced can be trusted, voting included.
-                rt._integrity_fail("digest", segment, result.describe())
-                rt._report_error("infra_integrity", segment,
-                                 result.describe())
-                return
+        results, union = compared
         processes = [r.process for r in segment.replicas]
         vote = rt.comparator.vote(processes, segment.end_checkpoint,
                                   dirty_vpns=union, results=results)
@@ -115,28 +97,24 @@ class TmrMode(DetectionMode):
                 rt.emit(tev.OUTVOTED, proc=loser.process,
                         segment=segment.index, loser="checker",
                         cause=results[index].reason or "mismatch")
-            rt._segment_verified(segment)
+            rt.verify(segment)
             return
         if vote.main_outvoted:
             if rt.stats.tmr_forward_recoveries \
                     >= config.max_forward_recoveries:
-                rt._report_error(
-                    "vote_inconclusive", segment,
-                    f"main outvoted but the forward-recovery budget "
-                    f"({config.max_forward_recoveries}) is spent")
+                rt.fail("vote_inconclusive", segment,
+                        f"main outvoted but the forward-recovery budget "
+                        f"({config.max_forward_recoveries}) is spent")
                 return
             self._forward_recover(rt, segment, vote)
             return
-        rt._report_error(
-            "vote_inconclusive", segment,
-            "all three states disagree at the segment boundary — no "
-            "majority exists to adopt")
+        rt.fail("vote_inconclusive", segment,
+                "all three states disagree at the segment boundary — no "
+                "majority exists to adopt")
 
     def absorb_replica_error(self, rt, segment, replica, kind: str,
                              detail: str) -> bool:
         """Outvote a single mid-replay failure while a majority remains."""
-        if kind not in self.ABSORBABLE:
-            return False
         if not [r for r in segment.live_replicas() if r is not replica]:
             # Last live replica: two voters left, no majority possible —
             # let the error report proceed.
@@ -189,18 +167,18 @@ class TmrMode(DetectionMode):
             rt.drop_replicas(stale, exit_code=1)
             rt.discard_segment(stale, cause="forward_recovery")
         # -- retire the old main (no rollback is counted) --------------
-        rt._adopt_main(new_main, rt.kernel.promote_process)
+        rt.adopt_main(new_main, rt.kernel.promote_process)
         rt.stats.tmr_forward_recoveries += 1
         rt.emit(tev.FORWARD_RECOVERY, proc=new_main,
                 segment=segment.index, winner_pid=new_main.pid,
                 discarded=[s.index for s in later])
         # The boundary itself is majority-verified.
-        rt._segment_verified(segment)
+        rt.verify(segment)
         if main_was_alive:
             # The old main was mid-recording: open a fresh segment from
             # the adopted state.
             rt.sched.main_done = False
-            rt._start_segment()
+            rt.start_segment()
         # Otherwise this was the final segment: the promoted winner sits
         # on the exit syscall's execution point and exits natively with
         # the majority state.

@@ -20,6 +20,12 @@ in the main process, using machinery the substrate already pays for:
   models a commit-on-verify buffer at the sphere-of-replication boundary —
   and execution resumes from the verified state.
 
+Which failures may roll back at all is the runtime's call: its error
+ladder (``Parallaft.fail``) offers a failure to
+:meth:`RecoveryManager.on_check_failed` only when its kind may roll
+back (``ROLLBACK_ERRORS``) and no integrity check has failed.  The
+manager owns its budget and the rollback itself.
+
 Escalation keeps recovery bounded:
 
 * a per-run rollback budget (``max_rollbacks``),
@@ -93,32 +99,24 @@ class RecoveryManager:
         """Abort recovery if the re-executed main overran its budget."""
         if self._watchdog_budget is None:
             return
-        progress = self.rt._instr_reading(main) - self._watchdog_base
+        progress = self.rt.instr_reading(main) - self._watchdog_base
         if progress <= self._watchdog_budget:
             return
         budget = self._watchdog_budget
         self._watchdog_budget = None
-        self.rt._report_error(
+        self.rt.fail(
             "recovery_watchdog", self.rt.current,
             f"re-executed main overran its {budget}-instruction watchdog")
 
     # ------------------------------------------------------------ the rollback
 
-    def on_check_failed(self, segment: Segment, kind: str,
-                        detail: str = "") -> bool:
+    def on_check_failed(self, segment: Segment) -> bool:
         """A segment check failed *persistently* (the diagnostic re-check
-        already ran).  Roll back if policy allows; returns True when the
-        error was absorbed."""
+        already ran) with an error the runtime's ladder lets roll back.
+        Roll back if the budget allows and the checkpoint is still there;
+        returns True when the error was absorbed."""
         checkpoint = segment.recovery_checkpoint
-        if (self.rt._terminated
-                # A watchdog trip is recovery's own failure; the two
-                # integrity kinds mean saved state / the checking path is
-                # untrusted — rolling back onto it would launder the
-                # corruption into a "recovered" timeline.
-                or kind in ("recovery_watchdog", "log_integrity",
-                            "infra_integrity")
-                or self.rt._integrity_failed
-                or checkpoint is None
+        if (checkpoint is None
                 # Evicted under memory pressure (stage 3): the saved state
                 # is gone; the error path reports ``checkpoint_evicted``.
                 or segment.checkpoint_evicted
@@ -127,8 +125,8 @@ class RecoveryManager:
                 or self.rollback_streak
                 >= self.config.max_segment_reexecutions):
             return False
-        if not self.rt._checkpoint_integrity_ok(segment):
-            # Defense in depth: the error path verifies the digest before
+        if not self.rt.checkpoint_intact(segment):
+            # Defense in depth: the ladder verifies the digest before
             # dispatching here, but promotion is the single action that
             # must never consume a rotten checkpoint — re-check at the
             # last gate before _rollback trusts it.
@@ -175,12 +173,12 @@ class RecoveryManager:
         rt.executor.charge_deferred(
             new_main, kernel.costs.fork_cycles(new_main.mem.mapped_pages),
             phase=mph.RECOVERY_ROLLBACK)
-        rt._adopt_main(new_main, kernel.rollback_to_checkpoint)
+        rt.adopt_main(new_main, kernel.rollback_to_checkpoint)
         rt.sched.main_done = False
 
         # Arm the watchdog: the re-execution must reach the next boundary
         # within a multiple of the work the original recording needed.
-        self._watchdog_base = rt._instr_reading(new_main)
+        self._watchdog_base = rt.instr_reading(new_main)
         self._watchdog_budget = (
             int(max(segment.main_instructions, 1024)
                 * self.config.recovery_watchdog_scale) + 1024)
@@ -188,4 +186,4 @@ class RecoveryManager:
         # Freed cores may unblock queued checkers of earlier segments.
         rt.sched.place_pending()
 
-        rt._start_segment()
+        rt.start_segment()

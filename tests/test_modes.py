@@ -8,8 +8,12 @@ segment policy (replica count, boundary check, recovery) lives on its
 `DetectionMode` object.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.common.errors import ConfigError, RuntimeConfigError
 from repro.core import Parallaft, ParallaftConfig
 from repro.core.comparator import StateComparator
@@ -92,7 +96,7 @@ def main_fault_hook(segment_index, site, after_instructions=500):
             segment = runtime.current
             if segment is None or segment.index != segment_index:
                 return
-            progress = (runtime._instr_reading(proc)
+            progress = (runtime.instr_reading(proc)
                         - segment.start_instructions)
             if progress >= after_instructions:
                 fired[0] = site.apply(
@@ -672,3 +676,18 @@ class TestDriversAgree:
             == [result.outcome for result in results] \
             == [Outcome.DETECTED, Outcome.DETECTED, Outcome.BENIGN,
                 Outcome.DETECTED]
+
+
+class TestVerdictBoundary:
+    def test_policies_reach_only_the_public_runtime(self):
+        # Modes, recovery and fault injection call the runtime's public
+        # verdict, lifecycle and stall methods; its privates stay its own.
+        root = Path(repro.__file__).parent
+        private = re.compile(r"\b(rt|runtime|me|self\.rt)\._[a-z]")
+        hits = [f"{path.relative_to(root)}:{number}: {line.strip()}"
+                for package in ("modes", "recovery", "faults")
+                for path in sorted((root / package).rglob("*.py"))
+                for number, line in enumerate(
+                    path.read_text().splitlines(), 1)
+                if private.search(line)]
+        assert not hits, "\n".join(hits)

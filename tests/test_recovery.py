@@ -221,11 +221,15 @@ class TestRecoveryBounds:
         assert manager.rollback_streak == 0
 
     def test_watchdog_failure_is_not_recoverable(self):
+        # The watchdog trips on the main's first quantum; the error
+        # ladder must neither re-check nor roll back recovery's own
+        # failure, although the budget would allow a rollback.
         runtime = make_runtime()
-        manager = runtime.recovery
-        segment = SimpleNamespace(recovery_checkpoint=SimpleNamespace(
-            state=ProcessState.PAUSED), checkpoint_evicted=False)
-        assert not manager.on_check_failed(segment, "recovery_watchdog")
+        runtime.recovery._watchdog_budget = 0
+        stats = runtime.run()
+        assert [e.kind for e in stats.errors] == ["recovery_watchdog"]
+        assert stats.recovery_rollbacks == 0
+        assert stats.checker_retries == 0
 
     def test_rollback_budget_guard(self):
         runtime = make_runtime()
@@ -233,7 +237,7 @@ class TestRecoveryBounds:
         segment = SimpleNamespace(recovery_checkpoint=SimpleNamespace(
             state=ProcessState.PAUSED), checkpoint_evicted=False)
         manager.rollbacks = runtime.config.max_rollbacks
-        assert not manager.on_check_failed(segment, "state_mismatch")
+        assert not manager.on_check_failed(segment)
 
     def test_watchdog_disarms_at_boundary(self):
         runtime = make_runtime()

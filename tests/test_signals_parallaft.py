@@ -191,13 +191,13 @@ class TestSignalsPendingAtACut:
         runtime = make_runtime(STRESS_PROGRAM, period=period,
                                platform=machine)
         pending_at_start = []
-        start_segment = runtime._start_segment
+        start_segment = runtime.start_segment
 
         def recording_start():
             pending_at_start.append(list(runtime.main.pending_signals))
             start_segment()
 
-        runtime._start_segment = recording_start
+        runtime.start_segment = recording_start
         stats = runtime.run()
         assert not stats.errors, stats.errors
         assert stats.stdout == "300\n"
